@@ -1,15 +1,20 @@
-"""Exact dense linear algebra over arbitrary-precision rationals.
+"""Exact linear algebra over arbitrary-precision rationals.
 
 Scalars are ``fractions.Fraction`` throughout, which is already canonical
 (reduced, positive denominator), so every computation in this package is
-exact and there is no tolerance anywhere.  Matrices are dense and row-major.
-Empty matrices (zero rows or zero columns) are legal first-class values;
-they represent maps to or from the zero space and show up routinely as
-fibres over zero-dimensional charts.
+exact and there is no tolerance anywhere.  Matrices are stored dense and
+row-major.  Empty matrices (zero rows or zero columns) are legal
+first-class values; they represent maps to or from the zero space and show
+up routinely as fibres over zero-dimensional charts.
 
-Pivot choice in elimination is deterministic: first nonzero entry in column
-scan order.  Everything derived from it (kernels, quotient presentations,
-colimit bases) is therefore reproducible bit for bit.
+Elimination is sparse: rows become ``{column: Fraction}`` dicts holding
+only their nonzeros, and one kernel (``_echelon``) brings them to reduced
+row echelon form.  Each row is reduced against the rows kept so far and,
+if anything is left, joins them with its smallest column as pivot; the
+rows kept are fully reduced at every step and sorted by pivot at the end.
+The reduced row echelon form depends only on the row space, so ranks,
+kernels, solutions, quotient presentations and colimit bases are
+reproducible bit for bit, whatever the order of the input rows.
 """
 
 from __future__ import annotations
@@ -29,6 +34,9 @@ __all__ = [
 ]
 
 Rational = Fraction
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def rational(value) -> Fraction:
@@ -58,6 +66,19 @@ class RatMat:
         self.rows = rows
         self.cols = cols
         self.data = data
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, data: list) -> "RatMat":
+        """Wrap ``data`` as it is: no copy, no shape check, no coercion.
+
+        Only for results computed from RatMat entries, where every entry
+        is already a Fraction; anything else goes through ``__init__``.
+        """
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.data = data
+        return m
 
     # -- construction -----------------------------------------------------
 
@@ -108,7 +129,7 @@ class RatMat:
         for i in range(height):
             for b in blocks:
                 data.extend(b.data[i * b.cols : (i + 1) * b.cols])
-        return RatMat(height, width, data)
+        return RatMat._trusted(height, width, data)
 
     @staticmethod
     def vstack(blocks: Sequence["RatMat"], cols: int | None = None) -> "RatMat":
@@ -126,7 +147,7 @@ class RatMat:
         data = []
         for b in blocks:
             data.extend(b.data)
-        return RatMat(height, width, data)
+        return RatMat._trusted(height, width, data)
 
     # -- access -----------------------------------------------------------
 
@@ -147,16 +168,18 @@ class RatMat:
 
     def column_block(self, start: int, count: int) -> "RatMat":
         """Contiguous slice of columns, as a new matrix."""
+        if start < 0 or count < 0 or start + count > self.cols:
+            raise ValueError(f"columns {start}..{start + count - 1} out of range for {self.cols}")
         data = []
         for i in range(self.rows):
             data.extend(self.data[i * self.cols + start : i * self.cols + start + count])
-        return RatMat(self.rows, count, data)
+        return RatMat._trusted(self.rows, count, data)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RatMat":
         row_idx = list(row_idx)
         col_idx = list(col_idx)
         data = [self.data[i * self.cols + j] for i in row_idx for j in col_idx]
-        return RatMat(len(row_idx), len(col_idx), data)
+        return RatMat._trusted(len(row_idx), len(col_idx), data)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -165,18 +188,16 @@ class RatMat:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        out = [Fraction(0)] * (self.rows * other.cols)
+        width = other.cols
+        other_rows = _sparse_rows(other)
+        out = [_ZERO] * (self.rows * width)
         for i in range(self.rows):
-            base = i * self.cols
-            for k in range(self.cols):
-                a = self.data[base + k]
-                if a == 0:
-                    continue
-                obase = k * other.cols
-                rbase = i * other.cols
-                for j in range(other.cols):
-                    out[rbase + j] += a * other.data[obase + j]
-        return RatMat(self.rows, other.cols, out)
+            rbase = i * width
+            for k, a in enumerate(self.data[i * self.cols : (i + 1) * self.cols]):
+                if a:
+                    for j, b in other_rows[k].items():
+                        out[rbase + j] += a * b
+        return RatMat._trusted(self.rows, width, out)
 
     def __add__(self, other: "RatMat") -> "RatMat":
         self._require_same_shape(other)
@@ -195,7 +216,7 @@ class RatMat:
 
     def transpose(self) -> "RatMat":
         data = [self.data[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)]
-        return RatMat(self.cols, self.rows, data)
+        return RatMat._trusted(self.cols, self.rows, data)
 
     def _require_same_shape(self, other: "RatMat") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -227,36 +248,15 @@ class RatMat:
     def rref(self) -> tuple["RatMat", tuple[int, ...]]:
         """Reduced row echelon form and the pivot column indices.
 
-        Pivots are chosen as the first nonzero entry scanning each column
-        top to bottom, which makes the result fully deterministic.
+        The nonzero rows come first, in pivot order, followed by zero rows
+        up to the original row count.  The form is unique for the row
+        space, so the result does not depend on how it was computed.
         """
-        rows = [self.row_list(i) for i in range(self.rows)]
-        pivots: list[int] = []
-        pr = 0
-        for pc in range(self.cols):
-            pivot_row = None
-            for r in range(pr, self.rows):
-                if rows[r][pc] != 0:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                continue
-            rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-            pv = rows[pr][pc]
-            if pv != 1:
-                rows[pr] = [e / pv for e in rows[pr]]
-            for r in range(len(rows)):
-                if r != pr and rows[r][pc] != 0:
-                    f = rows[r][pc]
-                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[pr])]
-            pivots.append(pc)
-            pr += 1
-            if pr == self.rows:
-                break
-        return RatMat.from_rows(rows, cols=self.cols), tuple(pivots)
+        reduced, pivots = _echelon(_sparse_rows(self))
+        return _dense(reduced, self.rows, self.cols), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(_echelon(_sparse_rows(self))[1])
 
     def is_injective(self) -> bool:
         return self.rank() == self.cols
@@ -294,6 +294,85 @@ class RatMat:
         return sign * result
 
 
+def _sparse_rows(m: RatMat) -> list[dict[int, Fraction]]:
+    """The nonzero entries of each row of ``m``, keyed by column."""
+    n = m.cols
+    data = m.data
+    return [
+        {j: x for j, x in enumerate(data[i * n : (i + 1) * n]) if x}
+        for i in range(m.rows)
+    ]
+
+
+def _dense(rows: list[dict[int, Fraction]], height: int, cols: int) -> RatMat:
+    """The height x cols matrix with the given sparse rows on top, zeros below."""
+    data = [_ZERO] * (height * cols)
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            data[i * cols + j] = x
+    return RatMat._trusted(height, cols, data)
+
+
+def _subtract(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction], skip: int) -> None:
+    """row -= f * other in place, leaving out column ``skip`` and dropping zeros."""
+    for j, x in other.items():
+        if j != skip:
+            v = row.get(j, _ZERO) - f * x
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+
+
+def _echelon(rows) -> tuple[list[dict[int, Fraction]], tuple[int, ...]]:
+    """Sparse reduced row echelon form of the span of ``rows``.
+
+    ``rows`` are ``{column: Fraction}`` dicts of nonzeros; they are
+    consumed.  Returns the nonzero rows of the reduced form, each scaled to
+    1 at its pivot and zero in every other pivot column, sorted by pivot,
+    together with the pivots.
+
+    Invariant: the rows kept so far are fully reduced, so subtracting one
+    of them never brings back another pivot column.  A new row therefore
+    needs one pass over the pivot columns it holds; what is left, if
+    anything, is scaled at its smallest column, which is a new pivot and
+    lies to the right of every kept pivot it is cleared from.
+    """
+    kept: dict[int, dict[int, Fraction]] = {}
+    for row in rows:
+        for c in [c for c in row if c in kept]:
+            _subtract(row, row.pop(c), kept[c], c)
+        if not row:
+            continue
+        p = min(row)
+        pv = row[p]
+        if pv != 1:
+            row = {j: x / pv for j, x in row.items()}
+        for other in kept.values():
+            if p in other:
+                _subtract(other, other.pop(p), row, p)
+        kept[p] = row
+    pivots = tuple(sorted(kept))
+    return [kept[p] for p in pivots], pivots
+
+
+def _null_space(reduced, pivots, cols: int) -> RatMat:
+    """Kernel basis read off a reduced row echelon form, one column per
+    free coordinate in increasing order: 1 at the free coordinate, minus
+    its reduced-row entries at the pivots."""
+    pivot_set = set(pivots)
+    slot = {f: a for a, f in enumerate(c for c in range(cols) if c not in pivot_set)}
+    width = len(slot)
+    data = [_ZERO] * (cols * width)
+    for f, a in slot.items():
+        data[f * width + a] = _ONE
+    for row, p in zip(reduced, pivots):
+        for j, x in row.items():
+            if j != p:
+                data[p * width + slot[j]] = -x
+    return RatMat._trusted(cols, width, data)
+
+
 def kernel_basis(m: RatMat) -> RatMat:
     """Basis of the null space of ``m``, one basis vector per column.
 
@@ -302,18 +381,8 @@ def kernel_basis(m: RatMat) -> RatMat:
     increasing order, so the result has exactly cols - rank(m) columns
     and is deterministic.
     """
-    red, pivots = m.rref()
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis_cols = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red[i, f]
-        basis_cols.append(v)
-    data = [basis_cols[j][i] for i in range(m.cols) for j in range(len(basis_cols))]
-    return RatMat(m.cols, len(basis_cols), data)
+    reduced, pivots = _echelon(_sparse_rows(m))
+    return _null_space(reduced, pivots, m.cols)
 
 
 @dataclass(frozen=True)
@@ -337,35 +406,21 @@ class QuotientPresentation:
         The quotient basis is the complement of the relation span in
         standard coordinates, taken in pivot order: pivot coordinates of
         the reduced relation span are killed, the remaining coordinates
-        become the quotient slots.
+        become the quotient slots.  The projection is the transpose of the
+        kernel basis of the reduced relations.
         """
         if relations.rows != ambient_dim:
             raise ValueError(
                 f"relations live in R^{relations.rows}, expected R^{ambient_dim}"
             )
-        red, pivots = relations.transpose().rref()
-        rank = len(pivots)
-        quotient_dim = ambient_dim - rank
+        reduced, pivots = _echelon(_sparse_rows(relations.transpose()))
         pivot_set = set(pivots)
         free = [c for c in range(ambient_dim) if c not in pivot_set]
-
         # reduced relation basis: column i is row i of the echelon form
-        rel_data = [red[i, c] for c in range(ambient_dim) for i in range(rank)]
-        relation_basis = RatMat(ambient_dim, rank, rel_data)
-
-        proj = [[Fraction(0)] * ambient_dim for _ in range(quotient_dim)]
-        for a, fcol in enumerate(free):
-            proj[a][fcol] = Fraction(1)
-            for i, p in enumerate(pivots):
-                proj[a][p] = -red[i, fcol]
-        projection = RatMat.from_rows(proj, cols=ambient_dim)
-
-        sect = [[Fraction(0)] * quotient_dim for _ in range(ambient_dim)]
-        for a, fcol in enumerate(free):
-            sect[fcol][a] = Fraction(1)
-        section = RatMat.from_rows(sect, cols=quotient_dim)
-
-        return cls(ambient_dim, relation_basis, quotient_dim, projection, section)
+        relation_basis = _dense(reduced, len(pivots), ambient_dim).transpose()
+        projection = _null_space(reduced, pivots, ambient_dim).transpose()
+        section = _dense([{f: _ONE} for f in free], len(free), ambient_dim).transpose()
+        return cls(ambient_dim, relation_basis, len(free), projection, section)
 
 
 def cokernel_presentation(m: RatMat) -> QuotientPresentation:
@@ -381,11 +436,12 @@ def solve_exact(a: RatMat, b: RatMat) -> RatMat | None:
     """
     if a.rows != b.rows:
         raise ValueError(f"system has {a.rows} rows but right-hand side has {b.rows}")
-    red, pivots = RatMat.hstack([a, b]).rref()
+    reduced, pivots = _echelon(_sparse_rows(RatMat.hstack([a, b])))
     if any(p >= a.cols for p in pivots):
         return None
-    x = [[Fraction(0)] * b.cols for _ in range(a.cols)]
-    for i, p in enumerate(pivots):
-        for j in range(b.cols):
-            x[p][j] = red[i, a.cols + j]
-    return RatMat.from_rows(x, cols=b.cols)
+    x = [_ZERO] * (a.cols * b.cols)
+    for row, p in zip(reduced, pivots):
+        for j, v in row.items():
+            if j >= a.cols:
+                x[p * b.cols + j - a.cols] = v
+    return RatMat._trusted(a.cols, b.cols, x)

@@ -11,12 +11,17 @@ fixed ordered bases so that matrix representations are reproducible:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 from .linalg import RatMat
+
+_ONE = Fraction(1)
+_ZERO = Fraction(0)
 
 __all__ = [
     "IndexBasis",
@@ -35,6 +40,8 @@ class IndexBasis:
     ambient_dim: int
     degree: int
     subsets: tuple[tuple[int, ...], ...]
+    # subset -> its place in ``subsets``; built once by index_basis()
+    positions: dict[tuple[int, ...], int] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.subsets)
@@ -42,16 +49,12 @@ class IndexBasis:
     def position(self, subset) -> int:
         subset = tuple(subset)
         try:
-            return self._positions()[subset]
+            return self.positions[subset]
         except KeyError:
             raise ValueError(
                 f"{subset} is not an increasing {self.degree}-subset of "
                 f"{{1..{self.ambient_dim}}}"
             ) from None
-
-    def _positions(self) -> dict[tuple[int, ...], int]:
-        # recomputed on demand; bases are tiny and cached by index_basis()
-        return {s: i for i, s in enumerate(self.subsets)}
 
 
 @lru_cache(maxsize=None)
@@ -60,7 +63,7 @@ def index_basis(n: int, k: int) -> IndexBasis:
         raise ValueError(f"index basis needs n, k >= 0, got ({n}, {k})")
     subs = tuple(combinations(range(1, n + 1), k))
     assert len(subs) == comb(n, k)
-    return IndexBasis(n, k, subs)
+    return IndexBasis(n, k, subs, {s: i for i, s in enumerate(subs)})
 
 
 def exterior_power_map(a: RatMat, k: int) -> RatMat:
@@ -69,6 +72,13 @@ def exterior_power_map(a: RatMat, k: int) -> RatMat:
     The entry at (J, I) is the k x k minor of ``a`` with rows J and
     columns I.  Degree 0 gives the 1x1 identity and degree 1 gives ``a``
     itself.
+
+    Minors are grown a row at a time from the nonzero entries of ``a``:
+    the degree-d minor on rows J + (r,) and columns I is the Laplace
+    expansion along its last row r, the sum over the nonzero a[r, c] with
+    c in I of +-a[r, c] times the degree-(d-1) minor on rows J and columns
+    I without c.  Only nonzero minors are kept, so the work follows the
+    nonzero minors rather than all C(rows, k) * C(cols, k) of them.
     """
     if k < 0:
         raise ValueError(f"exterior power degree must be >= 0, got {k}")
@@ -76,14 +86,41 @@ def exterior_power_map(a: RatMat, k: int) -> RatMat:
         return RatMat.identity(1)
     if k == 1:
         return a
+    # nonzero entries of each row, as (1-based column, value)
+    nonzero = [
+        [(c + 1, x) for c, x in enumerate(a.row_list(r)) if x] for r in range(a.rows)
+    ]
+    # minors[J] = {I: minor on rows J, columns I}, nonzero ones only
+    minors: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {(): {(): _ONE}}
+    for d in range(1, k + 1):
+        grown = {}
+        for J, by_cols in minors.items():
+            # leave room for the k - d rows still to come
+            for r in range(J[-1] if J else 0, a.rows - (k - d)):
+                acc: dict[tuple[int, ...], Fraction] = {}
+                for I, m in by_cols.items():
+                    for c, x in nonzero[r]:
+                        t = bisect_left(I, c)
+                        if t < len(I) and I[t] == c:
+                            continue
+                        v = x * m
+                        if (d - 1 + t) % 2:
+                            v = -v
+                        key = I[:t] + (c,) + I[t:]
+                        acc[key] = acc.get(key, _ZERO) + v
+                acc = {I: v for I, v in acc.items() if v}
+                if acc:
+                    grown[J + (r + 1,)] = acc
+        minors = grown
     row_basis = index_basis(a.rows, k)
     col_basis = index_basis(a.cols, k)
-    entries = []
-    for J in row_basis.subsets:
-        rsel = [j - 1 for j in J]
-        for I in col_basis.subsets:
-            entries.append(a.submatrix(rsel, [i - 1 for i in I]).det())
-    return RatMat(len(row_basis), len(col_basis), entries)
+    width = len(col_basis)
+    entries = [_ZERO] * (len(row_basis) * width)
+    for J, by_cols in minors.items():
+        base = row_basis.position(J) * width
+        for I, m in by_cols.items():
+            entries[base + col_basis.position(I)] = m
+    return RatMat._trusted(len(row_basis), width, entries)
 
 
 def tensor_product_map(a: RatMat, b: RatMat) -> RatMat:

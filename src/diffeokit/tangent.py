@@ -14,12 +14,15 @@ reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 
 from .linalg import QuotientPresentation, RatMat, kernel_basis
 from .multilinear import exterior_power_map
 from .presentation import GermPresentation, PresentedMap, require_valid, require_valid_map
 from .symcalc import jacobian_at_zero
+
+_ZERO = Fraction(0)
 
 __all__ = [
     "VectDiagram",
@@ -110,17 +113,21 @@ def vect_colimit(d: VectDiagram) -> ColimitResult:
     d.check_shapes()
     offsets = _offsets(d.objects)
     total = sum(d.objects)
-    rel_cols: list[list] = []
+    width = sum(mat.cols for _, _, mat in d.arrows)
+    # column j of the relation matrix is relation j; entries are the
+    # arrows' own Fractions, so the matrix needs no coercion
+    data = [_ZERO] * (total * width)
+    j = 0
     for src, dst, mat in d.arrows:
-        for s in range(d.objects[src]):
-            col = [0] * total
-            for r in range(d.objects[dst]):
-                col[offsets[dst] + r] += mat[r, s]
-            col[offsets[src] + s] -= 1
-            rel_cols.append(col)
-    rel_data = [rel_cols[j][i] for i in range(total) for j in range(len(rel_cols))]
+        for s in range(mat.cols):
+            for r in range(mat.rows):
+                x = mat.data[r * mat.cols + s]
+                if x:
+                    data[(offsets[dst] + r) * width + j] = x
+            data[(offsets[src] + s) * width + j] -= 1
+            j += 1
     relations = QuotientPresentation.from_relation_span(
-        total, RatMat(total, len(rel_cols), rel_data)
+        total, RatMat._trusted(total, width, data)
     )
     cocones = [
         relations.projection.column_block(offsets[i], d.objects[i])

@@ -122,6 +122,12 @@ def test_empty_matrices_compose():
     assert a.transpose().rows == 0
 
 
+def test_column_block_rejects_columns_out_of_range():
+    assert RatMat.identity(3).column_block(1, 2) == RatMat.from_rows([[0, 0], [1, 0], [0, 1]])
+    with pytest.raises(ValueError):
+        RatMat.identity(3).column_block(2, 2)
+
+
 def test_rejects_floats():
     with pytest.raises(TypeError):
         RatMat(1, 1, [0.5])
@@ -139,3 +145,131 @@ def test_random_cokernel_projection_surjective():
         m = rand_matrix(rng, rng.randint(0, 4), rng.randint(0, 4))
         q = cokernel_presentation(m)
         assert q.projection.rank() == q.quotient_dim
+
+
+# -- the sparse elimination kernel against a dense reference ------------------
+
+
+def reference_rref(m):
+    """Dense Gauss-Jordan elimination: the pivot of each column is its first
+    nonzero entry at or below the current row.  Returns the reduced rows
+    (zero rows last) and the pivot columns."""
+    rows = m.to_rows()
+    pivots = []
+    for c in range(m.cols):
+        pr = len(pivots)
+        hit = next((r for r in range(pr, m.rows) if rows[r][c] != 0), None)
+        if hit is None:
+            continue
+        rows[pr], rows[hit] = rows[hit], rows[pr]
+        pv = rows[pr][c]
+        rows[pr] = [x / pv for x in rows[pr]]
+        for r in range(m.rows):
+            if r != pr and rows[r][c] != 0:
+                f = rows[r][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[pr])]
+        pivots.append(c)
+    return rows, tuple(pivots)
+
+
+def reference_kernel(m):
+    rows, pivots = reference_rref(m)
+    free = [c for c in range(m.cols) if c not in pivots]
+    vectors = []
+    for f in free:
+        v = [Fraction(0)] * m.cols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -rows[i][f]
+        vectors.append(v)
+    return RatMat(m.cols, len(free), [v[i] for i in range(m.cols) for v in vectors])
+
+
+def reference_solve(a, b):
+    rows, pivots = reference_rref(RatMat.hstack([a, b]))
+    if any(p >= a.cols for p in pivots):
+        return None
+    x = [[Fraction(0)] * b.cols for _ in range(a.cols)]
+    for i, p in enumerate(pivots):
+        x[p] = rows[i][a.cols :]
+    return RatMat.from_rows(x, cols=b.cols)
+
+
+def reference_quotient(relations):
+    n = relations.rows
+    rows, pivots = reference_rref(relations.transpose())
+    free = [c for c in range(n) if c not in pivots]
+    relation_basis = RatMat(n, len(pivots), [rows[i][c] for c in range(n) for i in range(len(pivots))])
+    projection = reference_kernel(relations.transpose()).transpose()
+    section = RatMat(n, len(free), [1 if c == f else 0 for c in range(n) for f in free])
+    return relation_basis, projection, section
+
+
+# st.fractions is slow to draw 64 at a time; this covers the same kind of values
+small_fractions = st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 2, 3]))
+sparse_fractions = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), small_fractions)
+
+
+@st.composite
+def shaped_matrices(draw, max_dim=8):
+    """0x0 up to max_dim x max_dim: dense, mostly zero, all zero, with
+    repeated and scaled rows, or already in reduced row echelon form."""
+    rows = draw(st.integers(0, max_dim))
+    cols = draw(st.integers(0, max_dim))
+    kind = draw(st.sampled_from(["dense", "sparse", "zero", "repeated", "reduced"]))
+    if kind == "zero":
+        return RatMat.zeros(rows, cols)
+    entries = st.lists(sparse_fractions if kind == "sparse" else small_fractions,
+                       min_size=cols, max_size=cols)
+    if kind == "repeated" and rows:
+        base = draw(st.lists(entries, min_size=1, max_size=rows))
+        picks = draw(st.lists(st.tuples(st.sampled_from(base), small_fractions),
+                              min_size=rows, max_size=rows))
+        return RatMat.from_rows([[c * x for x in row] for row, c in picks], cols=cols)
+    m = RatMat.from_rows(draw(st.lists(entries, min_size=rows, max_size=rows)), cols=cols)
+    if kind == "reduced":
+        return RatMat.from_rows(reference_rref(m)[0], cols=cols)
+    return m
+
+
+@given(shaped_matrices())
+@settings(max_examples=300)
+def test_rref_rank_and_kernel_match_dense_reference(m):
+    rows, pivots = reference_rref(m)
+    assert m.rref() == (RatMat.from_rows(rows, cols=m.cols), pivots)
+    assert m.rank() == len(pivots)
+    assert m.is_injective() == (len(pivots) == m.cols)
+    assert m.is_surjective() == (len(pivots) == m.rows)
+    assert m.is_invertible() == (m.rows == m.cols == len(pivots))
+    assert kernel_basis(m) == reference_kernel(m)
+
+
+@given(shaped_matrices(), st.data())
+@settings(max_examples=150)
+def test_rref_depends_only_on_the_row_space(m, data):
+    order = data.draw(st.permutations(range(m.rows)))
+    shuffled = RatMat.from_rows([m.row_list(i) for i in order], cols=m.cols)
+    assert shuffled.rref() == m.rref()
+
+
+@given(shaped_matrices(), st.data())
+@settings(max_examples=200)
+def test_solve_exact_matches_dense_reference(a, data):
+    b = data.draw(st.sampled_from(["image", "free"]))
+    if b == "image":
+        x = data.draw(st.lists(small_fractions, min_size=a.cols, max_size=a.cols))
+        b = a @ RatMat.column(x)
+    else:
+        b = RatMat.column(data.draw(st.lists(small_fractions, min_size=a.rows, max_size=a.rows)))
+    assert solve_exact(a, b) == reference_solve(a, b)
+
+
+@given(shaped_matrices())
+@settings(max_examples=200)
+def test_from_relation_span_matches_dense_reference(relations):
+    q = QuotientPresentation.from_relation_span(relations.rows, relations)
+    relation_basis, projection, section = reference_quotient(relations)
+    assert q.relation_basis == relation_basis
+    assert q.projection == projection
+    assert q.section == section
+    assert q.quotient_dim == section.cols

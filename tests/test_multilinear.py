@@ -1,7 +1,10 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffeokit.linalg import RatMat
 from diffeokit.multilinear import (
@@ -140,3 +143,46 @@ def test_curry_shape_mismatch_reports_expected_and_actual():
 def test_hom_dimension_is_product():
     m = curry_hom((3, 2, 2), RatMat.zeros(2, 6))
     assert m.rows == 2 * 2 and m.cols == 3
+
+
+def minor_by_minor(a, k):
+    """Reference exterior power: one determinant per pair of k-subsets."""
+    rows = index_basis(a.rows, k).subsets
+    cols = index_basis(a.cols, k).subsets
+    return RatMat(len(rows), len(cols), [
+        a.submatrix([j - 1 for j in J], [i - 1 for i in I]).det()
+        for J in rows for I in cols
+    ])
+
+
+small_fractions = st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def matrices_and_degrees(draw, max_dim=5):
+    """Square or rectangular, dense, mostly zero, zero, or diagonal with
+    scales; the degree runs from 0 to one past the larger side."""
+    rows = draw(st.integers(0, max_dim))
+    cols = draw(st.integers(0, max_dim))
+    kind = draw(st.sampled_from(["dense", "sparse", "zero", "diagonal"]))
+    if kind == "zero":
+        a = RatMat.zeros(rows, cols)
+    elif kind == "diagonal":
+        scales = draw(st.lists(small_fractions, min_size=min(rows, cols), max_size=min(rows, cols)))
+        a = RatMat(rows, cols, [scales[i] if i == j else 0 for i in range(rows) for j in range(cols)])
+    else:
+        entry = small_fractions if kind == "dense" else st.one_of(st.just(0), st.just(0), small_fractions)
+        a = RatMat(rows, cols, draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)))
+    return a, draw(st.integers(0, max(rows, cols) + 1))
+
+
+@given(matrices_and_degrees())
+@settings(max_examples=300)
+def test_exterior_power_matches_minor_by_minor(case):
+    a, k = case
+    assert exterior_power_map(a, k) == minor_by_minor(a, k)
+
+
+def test_index_basis_positions_follow_subsets():
+    basis = index_basis(5, 3)
+    assert [basis.position(s) for s in basis.subsets] == list(range(len(basis)))

@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
 
 from diffeokit.catalog import ambient_inclusion, build_catalog_space
-from diffeokit.linalg import RatMat
+from diffeokit.linalg import QuotientPresentation, RatMat
+from diffeokit.multilinear import exterior_power_map
 from diffeokit.tangent import (
     VectDiagram,
     apply_fibre_functor,
@@ -111,6 +113,30 @@ class TestColimit:
             assert enriched.dim == base.dim
             assert enriched.cocones == base.cocones
             assert enriched.relations.projection == base.relations.projection
+
+    def test_relations_match_column_by_column_assembly(self):
+        # reference: one relation column per arrow and source basis vector,
+        # the image of the vector minus the vector, built densely
+        rng = random.Random(97)
+        for _ in range(60):
+            d = rand_diagram(rng)
+            # identity loops give zero relations, where an entry set instead
+            # of accumulated would show
+            d.arrows += [(i, i, RatMat.identity(dim)) for i, dim in enumerate(d.objects)]
+            offsets = [sum(d.objects[:i]) for i in range(len(d.objects))]
+            total = sum(d.objects)
+            columns = []
+            for src, dst, mat in d.arrows:
+                for s in range(mat.cols):
+                    col = [Fraction(0)] * total
+                    for r in range(mat.rows):
+                        col[offsets[dst] + r] += mat[r, s]
+                    col[offsets[src] + s] -= 1
+                    columns.append(col)
+            relations = RatMat.from_rows(columns, cols=total).transpose()
+            assert vect_colimit(d).relations == QuotientPresentation.from_relation_span(
+                total, relations
+            )
 
 
 class TestLimit:
@@ -220,3 +246,22 @@ def test_wedge_lines_dimension_table():
         assert tangent.dim == m
         assert vect_colimit(apply_fibre_functor(p, 2)).dim == 0
         assert comb(tangent.dim, 2) == comb(m, 2)
+
+
+def test_results_hold_only_fractions():
+    # results built without coercion must still hold Fractions only: an int
+    # in a relation would turn into a float when its row is scaled
+    def exact(m):
+        return all(type(x) is Fraction for x in m.data)
+
+    rng = random.Random(101)
+    for _ in range(60):
+        d = rand_diagram(rng)
+        colim = vect_colimit(d)
+        q = colim.relations
+        assert exact(q.projection) and exact(q.section) and exact(q.relation_basis)
+        assert all(exact(c) for c in colim.cocones)
+        for src, dst, mat in d.arrows:
+            assert exact(colim.cocones[dst] @ mat)
+            assert exact(mat.rref()[0])
+            assert all(exact(exterior_power_map(mat, k)) for k in range(4))
