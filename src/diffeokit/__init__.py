@@ -6,7 +6,7 @@ polynomial forms.  Everything is exact: dimensions, verdicts and pointwise
 values carry zero tolerance.
 """
 
-from .linalg import QuotientPresentation, RatMat, Rational, cokernel_presentation, kernel_basis, solve_exact
+from .linalg import QuotientPresentation, RatMat, Rational, kernel_basis, solve_exact
 from .multilinear import IndexBasis, curry_hom, exterior_power_map, index_basis, tensor_product_map, uncurry_hom
 from .symcalc import (
     Poly,

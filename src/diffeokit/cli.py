@@ -147,7 +147,6 @@ def _cmd_eval_form(args):
             "failing_arrow": exc.failing_arrow,
         }
         return payload, [f"form {args.form}: incompatible, no pointwise value"], True
-    colim = vect_colimit(apply_fibre_functor(p, form.degree))
     coords = _coords(value.coords)
     payload = {
         "command": "eval-form",
@@ -155,12 +154,12 @@ def _cmd_eval_form(args):
         "form": args.form,
         "degree": form.degree,
         "compatible": True,
-        "fibre_dim": colim.dim,
+        "fibre_dim": value.coords.cols,
         "coords": coords,
     }
     line = (
         f"form {args.form}: degree {form.degree} value on the "
-        f"{colim.dim}-dimensional fibre: ({', '.join(coords)})"
+        f"{value.coords.cols}-dimensional fibre: ({', '.join(coords)})"
     )
     return payload, [line], False
 

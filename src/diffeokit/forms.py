@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .linalg import RatMat, kernel_basis, solve_exact
-from .presentation import GermPresentation, PresentedMap, require_valid
+from .presentation import Arrow, GermPresentation, PresentedMap, require_valid
 from .symcalc import (
     PolyForm,
     PolyMap,
@@ -23,7 +23,7 @@ from .symcalc import (
     jacobian_at_zero,
     pullback_form,
 )
-from .tangent import apply_fibre_functor, pushforward_map, rho_map, vect_colimit
+from .tangent import ColimitResult, _fibre_diagram, _pushforward, rho_map, vect_colimit
 from .multilinear import exterior_power_map
 
 __all__ = [
@@ -110,12 +110,7 @@ def check_form_compatibility(p: GermPresentation, w: PresentedForm) -> Compatibi
     counterexample arrow and the exact polynomial residual are reported."""
     require_valid(p)
     _require_shapes(p, w)
-    for a in p.arrows:
-        pulled = pullback_form(w.chart_forms[a.dst], a.germ)
-        residual = pulled - w.chart_forms[a.src]
-        if not residual.is_zero():
-            return CompatibilityReport(False, a.name, residual)
-    return CompatibilityReport(True)
+    return _first_incompatible(w, p.arrows)
 
 
 def check_on_top_charts(p: GermPresentation, w: PresentedForm, n: int) -> CompatibilityReport:
@@ -133,11 +128,15 @@ def check_on_top_charts(p: GermPresentation, w: PresentedForm, n: int) -> Compat
             f"top-chart checking needs degree {n}, family has degree {w.degree}"
         )
     _require_shapes(p, w)
-    for a in p.arrows:
-        if p.chart_dim(a.src) != n or p.chart_dim(a.dst) != n:
-            continue
-        pulled = pullback_form(w.chart_forms[a.dst], a.germ)
-        residual = pulled - w.chart_forms[a.src]
+    top = [a for a in p.arrows if p.chart_dim(a.src) == n and p.chart_dim(a.dst) == n]
+    return _first_incompatible(w, top)
+
+
+def _first_incompatible(w: PresentedForm, arrows: list[Arrow]) -> CompatibilityReport:
+    """The first arrow that does not pull the target component of ``w`` back
+    to its source component, with the exact residual."""
+    for a in arrows:
+        residual = pullback_form(w.chart_forms[a.dst], a.germ) - w.chart_forms[a.src]
         if not residual.is_zero():
             return CompatibilityReport(False, a.name, residual)
     return CompatibilityReport(True)
@@ -157,27 +156,28 @@ def form_at_point(p: GermPresentation, w: PresentedForm) -> PointForm:
     Compatibility is required and implies that the assembled row
     annihilates the relation space; that is still asserted rather than
     trusted."""
-    report = check_form_compatibility(p, w)
+    require_valid(p)
+    _require_compatible(p, w)
+    return _point_value(p, w, vect_colimit(_fibre_diagram(p, w.degree)))
+
+
+def _require_compatible(p: GermPresentation, w: PresentedForm) -> None:
+    _require_shapes(p, w)
+    report = _first_incompatible(w, p.arrows)
     if not report.ok:
         raise IncompatibleFormError(
             f"form {w.name!r} is incompatible (counterexample arrow {report.failing_arrow!r})",
             report.failing_arrow,
         )
-    colim = vect_colimit(apply_fibre_functor(p, w.degree))
+
+
+def _point_value(p: GermPresentation, w: PresentedForm, colim: ColimitResult) -> PointForm:
+    """Value of a compatible family on the degree-k fibre colimit ``colim``."""
     blocks = [form_value_at_zero(w.chart_forms[cid]) for cid, _ in p.charts]
-    assembled = RatMat.hstack(blocks, rows=1)
-    if not (assembled @ colim.relations.relation_basis).is_zero():
-        raise AssertionError(
-            "internal error: a compatible family failed to annihilate the relations"
-        )
-    return PointForm(w.degree, assembled @ colim.section)
+    return PointForm(w.degree, colim.descend(blocks, 1, "a compatible family"))
 
 
-def restrict_ambient_form(p: GermPresentation, w_amb: PolyForm) -> PresentedForm:
-    """Pull an ambient form back along every chart embedding.
-
-    The result is automatically compatible; that is asserted, not assumed.
-    """
+def _require_ambient(p: GermPresentation, w_amb: PolyForm) -> None:
     require_valid(p)
     if p.ambient is None:
         raise ValueError(f"presentation {p.name!r} carries no ambient data")
@@ -185,11 +185,19 @@ def restrict_ambient_form(p: GermPresentation, w_amb: PolyForm) -> PresentedForm
         raise ValueError(
             f"ambient form lives on R^{w_amb.domain_dim}, ambient space is R^{p.ambient.dim}"
         )
+
+
+def restrict_ambient_form(p: GermPresentation, w_amb: PolyForm) -> PresentedForm:
+    """Pull an ambient form back along every chart embedding.
+
+    The result is automatically compatible; that is asserted, not assumed.
+    """
+    _require_ambient(p, w_amb)
     chart_forms = {
         cid: pullback_form(w_amb, p.ambient.embeddings[cid]) for cid, _ in p.charts
     }
     result = PresentedForm(w_amb.degree, chart_forms, name="ambient-restriction")
-    report = check_form_compatibility(p, result)
+    report = _first_incompatible(result, p.arrows)
     if not report.ok:
         raise AssertionError(
             "internal error: ambient restriction produced an incompatible family "
@@ -198,35 +206,17 @@ def restrict_ambient_form(p: GermPresentation, w_amb: PolyForm) -> PresentedForm
     return result
 
 
-def _tangent_pushforward_to_ambient(p: GermPresentation) -> RatMat:
-    """Matrix of the map from the tangent fibre colimit into the ambient
-    tangent space, assembled from embedding Jacobians."""
-    tangent = vect_colimit(apply_fibre_functor(p, 1))
-    blocks = [
-        jacobian_at_zero(p.ambient.embeddings[cid]) for cid, _ in p.charts
-    ]
-    assembled = RatMat.hstack(blocks, rows=p.ambient.dim)
-    if not (assembled @ tangent.relations.relation_basis).is_zero():
-        raise AssertionError(
-            "internal error: ambient Jacobians do not annihilate the tangent relations"
-        )
-    return assembled @ tangent.section
-
-
 def tilde_form_at_point(p: GermPresentation, w_amb: PolyForm) -> RatMat:
     """Value of an ambient form on the k-th wedge of the tangent fibre.
 
     Computed as the pullback of the ambient value along the exterior power
     of the tangent pushforward into the ambient space; returned as a row
     functional on the wedge of the tangent colimit."""
-    require_valid(p)
-    if p.ambient is None:
-        raise ValueError(f"presentation {p.name!r} carries no ambient data")
-    if w_amb.domain_dim != p.ambient.dim:
-        raise ValueError(
-            f"ambient form lives on R^{w_amb.domain_dim}, ambient space is R^{p.ambient.dim}"
-        )
-    push = _tangent_pushforward_to_ambient(p)
+    _require_ambient(p, w_amb)
+    # the map from the tangent fibre colimit into the ambient tangent space
+    tangent = vect_colimit(_fibre_diagram(p, 1))
+    blocks = [jacobian_at_zero(p.ambient.embeddings[cid]) for cid, _ in p.charts]
+    push = tangent.descend(blocks, p.ambient.dim, "the ambient Jacobians")
     return form_value_at_zero(w_amb) @ exterior_power_map(push, w_amb.degree)
 
 
@@ -241,10 +231,9 @@ def tilde_form_along_map(
     the comparison map; when it does not factor through it, no tangent-wedge
     value exists and the call is rejected.
     """
+    _, wedge_push, target_rho = _pushforward(m, k)
     if isinstance(target_value, PointForm):
-        carried = solve_exact(
-            rho_dual(m.target, k), target_value.coords.transpose()
-        )
+        carried = solve_exact(target_rho.transpose(), target_value.coords.transpose())
         if carried is None:
             raise ValueError(
                 "the pointwise value does not factor through the comparison map"
@@ -252,7 +241,6 @@ def tilde_form_along_map(
         target_functional = carried.transpose()
     else:
         target_functional = target_value
-    _, wedge_push = pushforward_map(m, k)
     if target_functional.rows != 1 or target_functional.cols != wedge_push.rows:
         raise ValueError(
             f"expected a 1x{wedge_push.rows} functional, got "
@@ -278,14 +266,15 @@ def reachable_fibre_dim(p: GermPresentation, forms: list[PresentedForm]) -> int:
     degrees = {w.degree for w in forms}
     if len(degrees) > 1:
         raise ValueError(f"mixed degrees in family: {sorted(degrees)}")
-    rows = []
+    require_valid(p)
     for idx, w in enumerate(forms):
         try:
-            rows.append(form_at_point(p, w).coords)
+            _require_compatible(p, w)
         except IncompatibleFormError as exc:
             label = w.name or f"#{idx}"
             raise ValueError(f"family member {label} is incompatible: {exc}") from exc
-    return RatMat.vstack(rows).rank()
+    colim = vect_colimit(_fibre_diagram(p, forms[0].degree))
+    return RatMat.vstack([_point_value(p, w, colim).coords for w in forms]).rank()
 
 
 @dataclass(frozen=True)
@@ -350,7 +339,7 @@ def check_section(p: GermPresentation, s: PresentedSection) -> SectionReport:
     if s.bundle not in ("tangent", "cotangent"):
         raise ValueError(f"unknown bundle selector {s.bundle!r}")
 
-    tangent = vect_colimit(apply_fibre_functor(p, 1))
+    tangent = vect_colimit(_fibre_diagram(p, 1))
     values = _section_values_at_zero(p, s)
 
     if s.bundle == "tangent":

@@ -29,7 +29,6 @@ __all__ = [
     "QuotientPresentation",
     "rational",
     "kernel_basis",
-    "cokernel_presentation",
     "solve_exact",
 ]
 
@@ -421,11 +420,6 @@ class QuotientPresentation:
         projection = _null_space(reduced, pivots, ambient_dim).transpose()
         section = _dense([{f: _ONE} for f in free], len(free), ambient_dim).transpose()
         return cls(ambient_dim, relation_basis, len(free), projection, section)
-
-
-def cokernel_presentation(m: RatMat) -> QuotientPresentation:
-    """Quotient of the target space of ``m`` by its column span."""
-    return QuotientPresentation.from_relation_span(m.rows, m)
 
 
 def solve_exact(a: RatMat, b: RatMat) -> RatMat | None:

@@ -4,7 +4,9 @@ A presentation is turned into a diagram of finite-dimensional vector
 spaces by applying, chart by chart, the degree-k wedge of the tangent
 space at the marked point; arrows become exterior powers of Jacobians.
 Colimits of such diagrams are computed as quotients of the direct sum by
-the per-arrow relations, limits as kernels of the difference map.
+the per-arrow relations, limits as kernels of the difference map.  A map
+on the direct sum that kills the relations factors through the colimit;
+``ColimitResult.descend`` is the one place that checks and does this.
 
 The colimit basis is the complement of the relation span in direct-sum
 coordinates, deterministic from pivot order, so cocone matrices are
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 
 from .linalg import QuotientPresentation, RatMat, kernel_basis
@@ -54,13 +57,9 @@ class VectDiagram:
                 )
 
 
-def _offsets(dims: list[int]) -> list[int]:
-    offsets = []
-    total = 0
-    for d in dims:
-        offsets.append(total)
-        total += d
-    return offsets
+def _require_degree(k: int) -> None:
+    if k < 0:
+        raise ValueError(f"degree must be >= 0, got {k}")
 
 
 def apply_fibre_functor(p: GermPresentation, k: int) -> VectDiagram:
@@ -71,17 +70,21 @@ def apply_fibre_functor(p: GermPresentation, k: int) -> VectDiagram:
     Implicit identity arrows are omitted: they contribute only trivial
     relations, which never change a colimit (this is property-tested).
     """
-    if k < 0:
-        raise ValueError(f"degree must be >= 0, got {k}")
+    _require_degree(k)
     require_valid(p)
+    return _fibre_diagram(p, k)
+
+
+def _fibre_diagram(p: GermPresentation, k: int) -> VectDiagram:
+    """``apply_fibre_functor`` for a presentation that is already validated."""
+    _require_degree(k)
     objects = [comb(dim, k) for _, dim in p.charts]
     arrows = []
     for a in p.arrows:
         mat = exterior_power_map(jacobian_at_zero(a.germ), k)
         arrows.append((p.chart_index(a.src), p.chart_index(a.dst), mat))
-    diagram = VectDiagram(objects, arrows)
-    diagram.check_shapes()
-    return diagram
+    # shapes hold by validation; vect_colimit checks them again before use
+    return VectDiagram(objects, arrows)
 
 
 @dataclass
@@ -105,14 +108,28 @@ class ColimitResult:
     def section(self) -> RatMat:
         return self.relations.section
 
+    def descend(self, blocks: list[RatMat], rows: int, what: str) -> RatMat:
+        """Factor a map on the direct sum, given by one block per object,
+        through the colimit.
+
+        Well-definedness (the relation span is annihilated) is always checked
+        rather than assumed; a failure here means an internal inconsistency in
+        Jacobians or sign conventions and is surfaced loudly.
+        """
+        assembled = RatMat.hstack(blocks, rows=rows)
+        if not (assembled @ self.relations.relation_basis).is_zero():
+            raise AssertionError(
+                f"internal error: {what} does not annihilate the relation space"
+            )
+        return assembled @ self.section
+
 
 def vect_colimit(d: VectDiagram) -> ColimitResult:
     """Direct sum of the objects modulo one relation per arrow and source
     basis vector: the image of the vector through the arrow minus the
     vector itself."""
     d.check_shapes()
-    offsets = _offsets(d.objects)
-    total = sum(d.objects)
+    *offsets, total = accumulate(d.objects, initial=0)
     width = sum(mat.cols for _, _, mat in d.arrows)
     # column j of the relation matrix is relation j; entries are the
     # arrows' own Fractions, so the matrix needs no coercion
@@ -146,8 +163,7 @@ class LimitResult:
 
 def vect_limit(d: VectDiagram) -> LimitResult:
     d.check_shapes()
-    offsets = _offsets(d.objects)
-    total = sum(d.objects)
+    *offsets, total = accumulate(d.objects, initial=0)
     constraint_rows: list[list] = []
     for src, dst, mat in d.arrows:
         for r in range(d.objects[dst]):
@@ -156,37 +172,25 @@ def vect_limit(d: VectDiagram) -> LimitResult:
                 row[offsets[src] + s] += mat[r, s]
             row[offsets[dst] + r] -= 1
             constraint_rows.append(row)
-    constraints = RatMat.from_rows(constraint_rows, cols=total)
-    basis = kernel_basis(constraints)
-    cones = []
-    for i, dim in enumerate(d.objects):
-        cones.append(
-            RatMat(
-                dim,
-                basis.cols,
-                [basis[offsets[i] + r, c] for r in range(dim) for c in range(basis.cols)],
-            )
-        )
+    basis = kernel_basis(RatMat.from_rows(constraint_rows, cols=total))
+    cones = [
+        basis.submatrix(range(offset, offset + dim), range(basis.cols))
+        for offset, dim in zip(offsets, d.objects)
+    ]
     return LimitResult(basis.cols, cones)
 
 
-def _assembled_map(blocks: list[RatMat], target_dim: int) -> RatMat:
-    return RatMat.hstack(blocks, rows=target_dim)
+def _colimits(p: GermPresentation, k: int) -> tuple[ColimitResult, ColimitResult]:
+    """Fibre colimits of a validated presentation in degrees 1 and k, each
+    built once."""
+    tangent = vect_colimit(_fibre_diagram(p, 1))
+    return tangent, tangent if k == 1 else vect_colimit(_fibre_diagram(p, k))
 
 
-def _descend(assembled: RatMat, colimit: ColimitResult, what: str) -> RatMat:
-    """Factor a map defined on the direct sum through the colimit.
-
-    Well-definedness (the relation span is annihilated) is always checked
-    rather than assumed; a failure here means an internal inconsistency in
-    Jacobians or sign conventions and is surfaced loudly.
-    """
-    residual = assembled @ colimit.relations.relation_basis
-    if not residual.is_zero():
-        raise AssertionError(
-            f"internal error: {what} does not annihilate the relation space"
-        )
-    return assembled @ colimit.section
+def _rho(tangent: ColimitResult, ck: ColimitResult, k: int) -> RatMat:
+    """Comparison map from the colimits in degrees 1 and k of one diagram."""
+    blocks = [exterior_power_map(c, k) for c in tangent.cocones]
+    return ck.descend(blocks, comb(tangent.dim, k), "the comparison map")
 
 
 def rho_map(p: GermPresentation, k: int) -> RatMat:
@@ -196,41 +200,38 @@ def rho_map(p: GermPresentation, k: int) -> RatMat:
     On the slot of chart i it is the exterior power of the tangent cocone,
     descended through the colimit projection.
     """
-    tangent = vect_colimit(apply_fibre_functor(p, 1))
-    ck = vect_colimit(apply_fibre_functor(p, k))
-    target_dim = comb(tangent.dim, k)
-    blocks = [exterior_power_map(c, k) for c in tangent.cocones]
-    assembled = _assembled_map(blocks, target_dim)
-    return _descend(assembled, ck, "the comparison map")
+    require_valid(p)
+    return _rho(*_colimits(p, k), k)
 
 
 def pushforward_map(m: PresentedMap, k: int) -> tuple[RatMat, RatMat]:
     """Maps induced on the degree-k fibre and on the k-th wedge of the
     tangent fibre, asserted to commute with the comparison maps."""
-    if k < 0:
-        raise ValueError(f"degree must be >= 0, got {k}")
+    return _pushforward(m, k)[:2]
+
+
+def _pushforward(m: PresentedMap, k: int) -> tuple[RatMat, RatMat, RatMat]:
+    """``pushforward_map`` together with the comparison map of the target."""
+    _require_degree(k)
     require_valid_map(m)
     source, target = m.source, m.target
+    src_tangent, src_ck = _colimits(source, k)
+    dst_tangent, dst_ck = _colimits(target, k)
 
-    def induced(degree: int) -> RatMat:
-        src_colim = vect_colimit(apply_fibre_functor(source, degree))
-        dst_colim = vect_colimit(apply_fibre_functor(target, degree))
+    def induced(src_colim: ColimitResult, dst_colim: ColimitResult, degree: int) -> RatMat:
         blocks = []
         for cid, _ in source.charts:
             tchart, germ = m.assignments[cid]
             wedge_jac = exterior_power_map(jacobian_at_zero(germ), degree)
             blocks.append(dst_colim.cocones[target.chart_index(tchart)] @ wedge_jac)
-        assembled = _assembled_map(blocks, dst_colim.dim)
-        return _descend(assembled, src_colim, "the induced fibre map")
+        return src_colim.descend(blocks, dst_colim.dim, "the induced fibre map")
 
-    fibre_push = induced(k)
-    tangent_push = induced(1)
-    wedge_push = exterior_power_map(tangent_push, k)
+    fibre_push = induced(src_ck, dst_ck, k)
+    wedge_push = exterior_power_map(induced(src_tangent, dst_tangent, 1), k)
 
-    lhs = rho_map(target, k) @ fibre_push
-    rhs = wedge_push @ rho_map(source, k)
-    if lhs != rhs:
+    target_rho = _rho(dst_tangent, dst_ck, k)
+    if target_rho @ fibre_push != wedge_push @ _rho(src_tangent, src_ck, k):
         raise AssertionError(
             "internal error: induced maps do not commute with the comparison map"
         )
-    return fibre_push, wedge_push
+    return fibre_push, wedge_push, target_rho

@@ -71,6 +71,10 @@ _TOKEN_RE = re.compile(
     r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)|(?P<sym>->|[-+*/^=:,()\[\]])"
 )
 
+# deepest nesting of '(' and unary '-'; at five frames per parenthesis the
+# parser stays well inside Python's default recursion limit of 1000
+_MAX_NESTING = 100
+
 
 class ParseError(Exception):
     def __init__(self, message: str, line: int, col: int):
@@ -122,6 +126,7 @@ class _LineReader:
         self.lineno = lineno
         self.end_col = line_len + 1
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -132,6 +137,14 @@ class _LineReader:
             raise ParseError("unexpected end of line", self.lineno, self.end_col)
         self.i += 1
         return tok
+
+    def nest(self, tok: _Token) -> None:
+        """Enter one level of '(' or unary '-' nesting, opened at ``tok``."""
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ParseError(
+                f"expression nested more than {_MAX_NESTING} levels deep", tok.line, tok.col
+            )
 
     def error(self, message: str) -> ParseError:
         tok = self.peek()
@@ -215,8 +228,10 @@ def _parse_term(reader: _LineReader, nvars: int) -> Poly:
 
 def _parse_unary(reader: _LineReader, nvars: int) -> Poly:
     if reader.at_sym("-"):
-        reader.next()
-        return -_parse_unary(reader, nvars)
+        reader.nest(reader.next())
+        result = -_parse_unary(reader, nvars)
+        reader.depth -= 1
+        return result
     return _parse_power(reader, nvars)
 
 
@@ -257,9 +272,10 @@ def _parse_primary(reader: _LineReader, nvars: int) -> Poly:
             return Poly.variable(nvars, idx)
         raise ParseError(f"unexpected identifier {tok.text!r}", tok.line, tok.col)
     if tok.kind == "sym" and tok.text == "(":
-        reader.next()
+        reader.nest(reader.next())
         inner = _parse_additive(reader, nvars)
         reader.expect_sym(")")
+        reader.depth -= 1
         return inner
     raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
 

@@ -2,7 +2,7 @@ import json
 
 from diffeokit.catalog import build_catalog_space, catalog_names
 from diffeokit.cli import run_command
-from diffeokit.textio import export_presentation, parse_presentation
+from diffeokit.textio import _MAX_NESTING, export_presentation, parse_presentation
 
 
 def run(capsys, argv):
@@ -127,6 +127,13 @@ class TestFormCommands:
         assert payload["coords"] == ["2", "3"]
         assert payload["fibre_dim"] == 2
 
+    def test_eval_form_builds_one_colimit(self, capsys, tmp_path, call_counts):
+        path = tmp_path / "wedge.dk"
+        path.write_text(WEDGE_FORM_FILE)
+        code, payload, _ = run_json(capsys, ["eval-form", str(path), "--form", "basis_x"])
+        assert code == 0
+        assert call_counts == {"vect_colimit": 1, "validate_presentation": 1}
+
     def test_eval_form_on_z2_volume(self, capsys, tmp_path):
         path = tmp_path / "z2.dk"
         path.write_text(Z2_FILE)
@@ -244,6 +251,18 @@ class TestErrorPaths:
         code, _, err = run(capsys, ["tangent", str(path)])
         assert code == 2
         assert "line 2" in err
+
+    def test_deep_nesting_is_a_positioned_input_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.dk"
+        prefix = "arrow a : x -> x = ["
+        path.write_text(
+            f"space demo\nchart x : R^1\n{prefix}" + "(" * 3000 + "s1" + ")" * 3000 + "]\n"
+        )
+        code, _, err = run(capsys, ["tangent", str(path)])
+        assert code == 2
+        # the first parenthesis past the limit
+        assert f"line 3, column {len(prefix) + _MAX_NESTING + 1}" in err
+        assert "Traceback" not in err
 
     def test_bad_params_rejected(self, capsys):
         code, _, err = run(

@@ -264,6 +264,13 @@ class TestTildeValues:
         with pytest.raises(ValueError):
             tilde_form_along_map(PresentedMap.identity(p), value, 2)
 
+    def test_point_form_input_builds_each_colimit_once(self, call_counts):
+        inclusion = ambient_inclusion(space("axes_subset"))
+        value = form_at_point(inclusion.target, PresentedForm(2, {"e": dform(2, 1, 2)}))
+        call_counts.clear()
+        tilde_form_along_map(inclusion, value, 2)
+        assert call_counts == {"vect_colimit": 4, "validate_presentation": 2}
+
 
 class TestRhoDual:
     def test_plane_dual_invertible(self):
@@ -316,6 +323,13 @@ class TestReachableFibre:
         with pytest.raises(ValueError) as err:
             reachable_fibre_dim(p, [z2_volume, bad])
         assert "odd" in str(err.value)
+
+    def test_family_shares_one_colimit(self, call_counts):
+        p = space("z2_quotient")
+        doubled = PresentedForm(2, {"c": dform(2, 1, 2).scale(2)}, name="2vol")
+        call_counts.clear()
+        reachable_fibre_dim(p, [z2_volume, doubled, z2_volume])
+        assert call_counts == {"vect_colimit": 1, "validate_presentation": 1}
 
 
 class TestNaturality:

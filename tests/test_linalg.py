@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from diffeokit.linalg import (
     QuotientPresentation,
     RatMat,
-    cokernel_presentation,
     kernel_basis,
     solve_exact,
 )
@@ -47,13 +46,15 @@ def test_kernel_of_rank_one_matrix():
 
 
 def test_cokernel_of_full_rank_square_is_zero():
-    q = cokernel_presentation(RatMat.identity(2))
+    m = RatMat.identity(2)
+    q = QuotientPresentation.from_relation_span(m.rows, m)
     assert q.quotient_dim == 0
     assert q.projection.rows == 0
 
 
 def test_cokernel_with_no_relations_is_identity():
-    q = cokernel_presentation(RatMat(2, 0, []))
+    m = RatMat(2, 0, [])
+    q = QuotientPresentation.from_relation_span(m.rows, m)
     assert q.quotient_dim == 2
     assert q.projection == RatMat.identity(2)
     assert q.section == RatMat.identity(2)
@@ -61,7 +62,7 @@ def test_cokernel_with_no_relations_is_identity():
 
 def test_cokernel_of_single_relation():
     m = RatMat.from_rows([[2], [0]])
-    q = cokernel_presentation(m)
+    q = QuotientPresentation.from_relation_span(m.rows, m)
     assert q.quotient_dim == 1
     assert (q.projection @ m).is_zero()
     assert (q.projection @ RatMat.column([2, 0])).is_zero()
@@ -77,7 +78,7 @@ def test_rank_nullity(m):
 @given(matrices())
 @settings(max_examples=150)
 def test_cokernel_invariants(m):
-    q = cokernel_presentation(m)
+    q = QuotientPresentation.from_relation_span(m.rows, m)
     assert q.quotient_dim == q.ambient_dim - q.relation_basis.rank()
     assert q.projection @ q.section == RatMat.identity(q.quotient_dim)
     assert (q.projection @ q.relation_basis).is_zero()
@@ -143,7 +144,7 @@ def test_random_cokernel_projection_surjective():
     rng = random.Random(11)
     for _ in range(50):
         m = rand_matrix(rng, rng.randint(0, 4), rng.randint(0, 4))
-        q = cokernel_presentation(m)
+        q = QuotientPresentation.from_relation_span(m.rows, m)
         assert q.projection.rank() == q.quotient_dim
 
 

@@ -139,6 +139,44 @@ class TestColimit:
             )
 
 
+class TestDescend:
+    def test_stacked_cocones_descend_to_the_identity(self):
+        rng = random.Random(107)
+        for _ in range(40):
+            colim = vect_colimit(rand_diagram(rng))
+            assert colim.descend(colim.cocones, colim.dim, "the cocones") == RatMat.identity(
+                colim.dim
+            )
+
+    def test_block_that_misses_a_relation_is_rejected(self):
+        # the tangent colimit of z2_quotient is zero; the identity on the
+        # chart does not kill the relation v - (-v)
+        colim = vect_colimit(apply_fibre_functor(space("z2_quotient"), 1))
+        with pytest.raises(AssertionError, match="the identity block"):
+            colim.descend([RatMat.identity(2)], 2, "the identity block")
+
+
+class TestOneColimitPerDiagram:
+    def test_pushforward_in_degree_two(self, call_counts):
+        inclusion = ambient_inclusion(space("axes_subset"))
+        call_counts.clear()
+        pushforward_map(inclusion, 2)
+        # source and target, in degrees 1 and 2; one validation of each side
+        assert call_counts == {"vect_colimit": 4, "validate_presentation": 2}
+
+    def test_pushforward_in_degree_one(self, call_counts):
+        inclusion = ambient_inclusion(space("axes_subset"))
+        call_counts.clear()
+        pushforward_map(inclusion, 1)
+        assert call_counts["vect_colimit"] == 2
+
+    def test_rho_in_degree_one(self, call_counts):
+        p = space("wedge_lines", m=2)
+        call_counts.clear()
+        rho_map(p, 1)
+        assert call_counts == {"vect_colimit": 1, "validate_presentation": 1}
+
+
 class TestLimit:
     def test_single_object(self):
         lim = vect_limit(VectDiagram([4], []))

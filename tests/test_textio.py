@@ -7,6 +7,7 @@ from diffeokit.forms import PresentedForm
 from diffeokit.linalg import RatMat
 from diffeokit.symcalc import Poly, PolyForm, PolyMap
 from diffeokit.textio import (
+    _MAX_NESTING,
     ParseError,
     export_presentation,
     parse_document,
@@ -237,6 +238,37 @@ class TestErrors:
     def test_duplicate_chart(self):
         text = "space demo\nchart x : R^1\nchart x : R^2\n"
         self.expect_error(text, 3, contains="duplicate chart")
+
+    def nested_arrow(self, expr):
+        return "space demo\nchart x : R^1\narrow a : x -> x = [" + expr + "]\n"
+
+    def test_deep_parentheses(self):
+        col = len("arrow a : x -> x = [") + _MAX_NESTING + 1
+        text = self.nested_arrow("(" * 3000 + "s1" + ")" * 3000)
+        err = self.expect_error(text, 3, col_predicate=lambda c: c == col, contains="nested")
+        assert str(_MAX_NESTING) in err.reason
+
+    def test_long_run_of_unary_minus(self):
+        col = len("arrow a : x -> x = [") + _MAX_NESTING + 1
+        text = self.nested_arrow("-" * 3000 + "s1")
+        self.expect_error(text, 3, col_predicate=lambda c: c == col, contains="nested")
+
+    def test_nesting_up_to_the_limit_parses(self):
+        half = _MAX_NESTING // 2
+        for expr, expected in [
+            ("(" * _MAX_NESTING + "s1" + ")" * _MAX_NESTING, s(1, 1)),
+            ("-" * _MAX_NESTING + "s1", s(1, 1)),
+            ("-(" * half + "s1" + ")" * half, s(1, 1) if half % 2 == 0 else -s(1, 1)),
+        ]:
+            germ = parse_presentation(self.nested_arrow(expr)).presentation.arrows[0].germ
+            assert germ.components[0] == expected
+
+    def test_nesting_in_a_form_line(self):
+        text = (
+            "space demo\nchart x : R^1\nform w : degree 0 on demo\non x : "
+            + "(" * (_MAX_NESTING + 1) + "1" + ")" * (_MAX_NESTING + 1) + "\n"
+        )
+        self.expect_error(text, 4, contains="nested")
 
     def test_structure_after_forms_rejected(self):
         text = (
