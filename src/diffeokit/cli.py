@@ -20,7 +20,13 @@ import argparse
 import json
 import sys
 from .catalog import build_catalog_space, catalog_names
-from .forms import IncompatibleFormError, check_form_compatibility, check_section, form_at_point
+from .forms import (
+    IncompatibleFormError,
+    _check_section,
+    _section_colimit,
+    check_form_compatibility,
+    form_at_point,
+)
 from .presentation import filteredness
 from .tangent import apply_fibre_functor, rho_map, vect_colimit
 from .textio import (
@@ -192,11 +198,12 @@ def _cmd_sections(args):
         sections = parse_sections(fh.read(), p)
     if not sections:
         raise ValueError(f"no sections found in {args.data!r}")
+    tangent = _section_colimit(p)
     entries = []
     lines = []
     negative = False
     for name, section in sections.items():
-        report = check_section(p, section)
+        report = _check_section(p, section, tangent)
         entry = {
             "name": name,
             "bundle": report.bundle,

@@ -331,15 +331,25 @@ def check_section(p: GermPresentation, s: PresentedSection) -> SectionReport:
     colimit must restrict to every chart's value, decided by an exact
     linear solve.  Only wedge-type presentations are accepted; elsewhere
     the smoothness criterion encoded here is not justified."""
+    return _check_section(p, s, _section_colimit(p))
+
+
+def _section_colimit(p: GermPresentation) -> ColimitResult:
+    """Validate a wedge-type presentation and build its tangent colimit."""
     require_valid(p)
     if not p.wedge_type:
         raise ValueError(
             f"presentation {p.name!r} is not wedge-type; section checking is undefined"
         )
+    return vect_colimit(_fibre_diagram(p, 1))
+
+
+def _check_section(
+    p: GermPresentation, s: PresentedSection, tangent: ColimitResult
+) -> SectionReport:
+    """``check_section`` given the tangent colimit of the valid ``p``."""
     if s.bundle not in ("tangent", "cotangent"):
         raise ValueError(f"unknown bundle selector {s.bundle!r}")
-
-    tangent = vect_colimit(_fibre_diagram(p, 1))
     values = _section_values_at_zero(p, s)
 
     if s.bundle == "tangent":

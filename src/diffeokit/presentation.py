@@ -227,61 +227,40 @@ def composition_closure(p: GermPresentation, depth: int) -> ClosureResult:
 
     Words are built from the presented arrows; identities count as the
     empty word.  Arrows are deduplicated by exact polynomial equality of
-    their germs.  ``closed`` reports whether a fixed point was reached
-    within the bound; composites beyond the bound are discarded.
+    their germs.  Each round composes the generators with the frontier
+    only, the arrows the previous round added: every composite with an
+    older arrow was formed in an earlier round.  ``closed`` reports whether
+    a fixed point was reached within the bound; the closure stops at the
+    first composite longer than ``depth`` and returns the arrows up to it.
     """
     if depth < 1:
         raise ValueError(f"closure depth must be >= 1, got {depth}")
     require_valid(p)
 
     arrows: dict[tuple[str, str, PolyMap], Arrow] = {}
+    for a in _identity_arrows(p) + p.arrows:
+        arrows.setdefault((a.src, a.dst, a.germ), a)
 
-    def add(arrow: Arrow) -> bool:
-        key = (arrow.src, arrow.dst, arrow.germ)
-        if key in arrows:
-            return False
-        arrows[key] = arrow
-        return True
-
-    for a in _identity_arrows(p):
-        add(a)
-    generators = []
-    for a in p.arrows:
-        add(a)
-        generators.append(a)
-
+    frontier = list(arrows.values())
     word_length = 1
-    closed = False
-    while True:
-        additions = []
-        current = list(arrows.values())
-        for g in generators:
-            for w in current:
+    while frontier:
+        # the same composite can arise from several pairs; the first names it
+        fresh: dict[tuple[str, str, PolyMap], Arrow] = {}
+        for g in p.arrows:
+            for w in frontier:
                 if w.dst != g.src:
                     continue
                 germ = compose_maps(g.germ, w.germ)
                 key = (w.src, g.dst, germ)
-                if key not in arrows:
-                    additions.append(Arrow(f"{g.name}.{w.name}", w.src, g.dst, germ))
-        # the same composite can arise from several pairs; dedup preserves order
-        fresh = []
-        seen_new = set()
-        for a in additions:
-            key = (a.src, a.dst, a.germ)
-            if key not in arrows and key not in seen_new:
-                seen_new.add(key)
-                fresh.append(a)
-        if not fresh:
-            closed = True
-            break
+                if key in arrows or key in fresh:
+                    continue
+                if word_length == depth:
+                    return ClosureResult(list(arrows.values()), False)
+                fresh[key] = Arrow(f"{g.name}.{w.name}", w.src, g.dst, germ)
+        arrows.update(fresh)
+        frontier = list(fresh.values())
         word_length += 1
-        if word_length > depth:
-            closed = False
-            break
-        for a in fresh:
-            add(a)
-
-    return ClosureResult(list(arrows.values()), closed)
+    return ClosureResult(list(arrows.values()), True)
 
 
 @dataclass
@@ -323,25 +302,27 @@ def filteredness(p: GermPresentation, depth: int) -> FilterednessReport:
     if not weakly:
         return FilterednessReport("no", "no", True, len(arrows))
 
-    by_source: dict[str, list[Arrow]] = {cid: [] for cid in chart_ids}
-    for a in arrows:
-        by_source[a.src].append(a)
+    by_source: dict[str, list[int]] = {cid: [] for cid in chart_ids}
+    parallel: dict[tuple[str, str], list[int]] = {}
+    for i, a in enumerate(arrows):
+        by_source[a.src].append(i)
+        parallel.setdefault((a.src, a.dst), []).append(i)
 
-    filtered = True
-    for i, f in enumerate(arrows):
-        for g in arrows[i + 1 :]:
-            if f.src != g.src or f.dst != g.dst or f.germ == g.germ:
-                continue
-            coequalized = False
-            for h in by_source[f.dst]:
-                if compose_maps(h.germ, f.germ) == compose_maps(h.germ, g.germ):
-                    coequalized = True
-                    break
-            if not coequalized:
-                filtered = False
-                break
-        if not filtered:
-            break
+    # h after f for arrow indices (h, f), each composed at most once per call
+    composites: dict[tuple[int, int], PolyMap] = {}
+
+    def after(h: int, f: int) -> PolyMap:
+        if (h, f) not in composites:
+            composites[h, f] = compose_maps(arrows[h].germ, arrows[f].germ)
+        return composites[h, f]
+
+    # closure arrows are distinct, so parallel arrows have different germs
+    filtered = all(
+        any(after(h, f) == after(h, g) for h in by_source[arrows[f].dst])
+        for group in parallel.values()
+        for k, f in enumerate(group)
+        for g in group[k + 1 :]
+    )
 
     return FilterednessReport("yes", "yes" if filtered else "no", True, len(arrows))
 

@@ -8,12 +8,14 @@ import diffeokit  # noqa: F401  (loads every module, so every binding is patched
 _COUNTED = [
     ("diffeokit.tangent", "vect_colimit"),
     ("diffeokit.presentation", "validate_presentation"),
+    ("diffeokit.symcalc", "compose_maps"),
 ]
 
 
 @pytest.fixture
 def call_counts(monkeypatch):
-    """Counter of calls to ``vect_colimit`` and ``validate_presentation``.
+    """Counter of calls to ``vect_colimit``, ``validate_presentation`` and
+    ``compose_maps``.
 
     Each function is replaced at every ``diffeokit`` module that binds it, so
     calls through ``from .x import y`` are counted too.  Clear the counter

@@ -199,6 +199,17 @@ class TestSectionsCommand:
         assert code == 0
         assert "section ok (tangent): valid" in out
 
+    def test_sections_validate_and_build_one_colimit(self, capsys, tmp_path, call_counts):
+        data_path = tmp_path / "sections.dk"
+        data_path.write_text(SECTION_FILE)
+        code, payload, _ = run_json(
+            capsys, ["sections", "catalog:wedge_lines", "--data", str(data_path)]
+        )
+        assert code == 0
+        assert len(payload["sections"]) == 3
+        assert call_counts["validate_presentation"] == 1
+        assert call_counts["vect_colimit"] == 1
+
     def test_sections_on_non_wedge_space_is_an_input_error(self, capsys, tmp_path):
         data_path = tmp_path / "sections.dk"
         data_path.write_text("section a : tangent on z2_quotient\non c : [s1, s2]\n")

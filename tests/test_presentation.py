@@ -1,16 +1,24 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffeokit.catalog import build_catalog_space, catalog_names
 from diffeokit.presentation import (
     Arrow,
+    ClosureResult,
+    FilterednessReport,
     GermPresentation,
     PresentedMap,
+    _identity_arrows,
     composition_closure,
     filteredness,
+    require_valid,
     validate_presentation,
     validate_presented_map,
 )
-from diffeokit.symcalc import Poly, PolyMap
+from diffeokit.symcalc import Poly, PolyMap, compose_maps
 
 
 def doubling_space():
@@ -202,3 +210,192 @@ class TestPresentedMap:
         report = validate_presented_map(bad)
         assert not report.ok
         assert any("does not commute" in issue for issue in report.issues)
+
+
+# -- closure and pair scan against the all-pairs reference ---------------------
+
+
+def reference_closure(p, depth):
+    """All-pairs closure: every round composes each generator with every
+    arrow so far, and the round past ``depth`` is built in full, then
+    discarded."""
+    if depth < 1:
+        raise ValueError(f"closure depth must be >= 1, got {depth}")
+    require_valid(p)
+    arrows = {}
+    for a in _identity_arrows(p) + p.arrows:
+        arrows.setdefault((a.src, a.dst, a.germ), a)
+    word_length = 1
+    while True:
+        additions = []
+        current = list(arrows.values())
+        for g in p.arrows:
+            for w in current:
+                if w.dst != g.src:
+                    continue
+                germ = compose_maps(g.germ, w.germ)
+                key = (w.src, g.dst, germ)
+                if key not in arrows:
+                    additions.append(Arrow(f"{g.name}.{w.name}", w.src, g.dst, germ))
+        fresh = []
+        seen_new = set()
+        for a in additions:
+            key = (a.src, a.dst, a.germ)
+            if key not in arrows and key not in seen_new:
+                seen_new.add(key)
+                fresh.append(a)
+        if not fresh:
+            return ClosureResult(list(arrows.values()), True)
+        word_length += 1
+        if word_length > depth:
+            return ClosureResult(list(arrows.values()), False)
+        for a in fresh:
+            arrows[(a.src, a.dst, a.germ)] = a
+
+
+def reference_filteredness(p, depth):
+    """Every pair of arrows tried, every composite formed once per pair."""
+    closure = reference_closure(p, depth)
+    if not closure.closed:
+        return FilterednessReport("unknown", "unknown", False, len(closure.arrows))
+    arrows = closure.arrows
+    chart_ids = p.chart_ids
+    targets_from = {cid: {a.dst for a in arrows if a.src == cid} for cid in chart_ids}
+    for i, ci in enumerate(chart_ids):
+        for cj in chart_ids[i:]:
+            if not (targets_from[ci] & targets_from[cj]):
+                return FilterednessReport("no", "no", True, len(arrows))
+    for i, f in enumerate(arrows):
+        for g in arrows[i + 1 :]:
+            if f.src != g.src or f.dst != g.dst or f.germ == g.germ:
+                continue
+            if not any(
+                compose_maps(h.germ, f.germ) == compose_maps(h.germ, g.germ)
+                for h in arrows
+                if h.src == f.dst
+            ):
+                return FilterednessReport("yes", "no", True, len(arrows))
+    return FilterednessReport("yes", "yes", True, len(arrows))
+
+
+def monomial(nvars, *variables):
+    """The product of the given coordinates s_i (1-based) in ``nvars`` variables."""
+    exps = [0] * nvars
+    for i in variables:
+        exps[i - 1] += 1
+    return Poly(nvars, {tuple(exps): 1})
+
+
+@st.composite
+def pointed_germs(draw, src_dim, dst_dim):
+    """Linear terms with small coefficients in every component, plus at most
+    one quadratic monomial (more make the depth-4 composites slow to form)."""
+    coeffs = st.sampled_from([Fraction(0), Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)])
+    comps = []
+    for _ in range(dst_dim):
+        c = Poly.zero(src_dim)
+        for i in range(1, src_dim + 1):
+            c = c + monomial(src_dim, i) * draw(coeffs)
+        comps.append(c)
+    if src_dim and dst_dim and draw(st.booleans()):
+        k = draw(st.integers(0, dst_dim - 1))
+        i, j = draw(st.integers(1, src_dim)), draw(st.integers(1, src_dim))
+        comps[k] = comps[k] + monomial(src_dim, i, j) * draw(coeffs)
+    return PolyMap(src_dim, dst_dim, comps)
+
+
+@st.composite
+def presentations(draw):
+    """1-3 charts of dimension 0-2 and 1-3 arrows between them: germs with
+    linear and quadratic terms, half of them self-loops, signed permutations,
+    zero maps, identities and repeated germs."""
+    dims = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    charts = [(f"c{i}", d) for i, d in enumerate(dims)]
+    arrows = []
+    for n in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["germ", "germ", "signed", "zero", "identity", "repeat"]))
+        if kind == "repeat" and arrows:
+            earlier = draw(st.sampled_from(arrows))
+            arrows.append(Arrow(f"f{n}", earlier.src, earlier.dst, earlier.germ))
+            continue
+        src, src_dim = draw(st.sampled_from(charts))
+        dst, dst_dim = draw(st.sampled_from(charts + [(src, src_dim)] * len(charts)))
+        if kind == "identity":
+            germ = PolyMap.identity(src_dim)
+            dst = src
+        elif kind == "signed":  # of finite order, so the closure can close
+            perm = draw(st.permutations(range(1, src_dim + 1)))
+            signs = draw(st.lists(st.sampled_from([1, -1]), min_size=src_dim, max_size=src_dim))
+            germ = PolyMap(src_dim, src_dim, [monomial(src_dim, i) * c for i, c in zip(perm, signs)])
+            dst = src
+        elif kind == "zero":
+            germ = PolyMap.zero_map(src_dim, dst_dim)
+        else:
+            germ = draw(pointed_germs(src_dim, dst_dim))
+        arrows.append(Arrow(f"f{n}", src, dst, germ))
+    return GermPresentation("drawn", charts, arrows)
+
+
+@given(presentations(), st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_closure_and_scan_match_all_pairs_reference(p, depth):
+    assert composition_closure(p, depth) == reference_closure(p, depth)
+    assert filteredness(p, depth) == reference_filteredness(p, depth)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_catalog_closure_and_scan_match_all_pairs_reference(name, depth):
+    p = build_catalog_space(name).presentation
+    assert composition_closure(p, depth) == reference_closure(p, depth)
+    assert filteredness(p, depth) == reference_filteredness(p, depth)
+
+
+# -- how many composites the closure and the pair scan form --------------------
+
+
+def near_identity_space():
+    """Three germs id + quadratic on R^3: infinite order, never closes."""
+    s = [monomial(3, i) for i in (1, 2, 3)]
+    germs = [
+        [s[0] + monomial(3, 1, 2), s[1], s[2]],
+        [s[0] + monomial(3, 3, 2), s[1] + monomial(3, 3, 1) * 2, s[2]],
+        [s[0] - monomial(3, 2, 1), s[1] + monomial(3, 2, 3), s[2] + monomial(3, 3, 2)],
+    ]
+    arrows = [Arrow(f"g{i}", "c", "c", PolyMap(3, 3, g)) for i, g in enumerate(germs)]
+    return GermPresentation("near_identity", [("c", 3)], arrows)
+
+
+def signed_permutation_space():
+    """A signed 3-cycle and a transposition generate all 48 signed
+    permutations of R^3, every one a word of length at most 8; the zero
+    arrow to R^0 coequalizes every parallel pair."""
+    s = [monomial(3, i) for i in (1, 2, 3)]
+    arrows = [
+        Arrow("g0", "c", "c", PolyMap(3, 3, [s[1], s[2], -s[0]])),
+        Arrow("g1", "c", "c", PolyMap(3, 3, [s[1], s[0], s[2]])),
+        Arrow("z", "c", "o", PolyMap.zero_map(3, 0)),
+    ]
+    return GermPresentation("signed_permutations", [("c", 3), ("o", 0)], arrows)
+
+
+class TestCompositionCounts:
+    def test_closure_composes_each_generator_with_each_arrow_at_most_once(self, call_counts):
+        for p, depth, size, closed in [
+            (near_identity_space(), 3, 40, False),
+            (signed_permutation_space(), 8, 50, True),
+        ]:
+            call_counts.clear()
+            result = composition_closure(p, depth)
+            assert (len(result.arrows), result.closed) == (size, closed)
+            assert call_counts["compose_maps"] <= len(p.arrows) * len(result.arrows)
+
+    def test_pair_scan_composes_each_pair_of_arrows_at_most_once(self, call_counts):
+        p = signed_permutation_space()
+        call_counts.clear()
+        composition_closure(p, 8)
+        in_closure = call_counts["compose_maps"]
+        call_counts.clear()
+        report = filteredness(p, 8)
+        assert report == FilterednessReport("yes", "yes", True, 50)
+        assert call_counts["compose_maps"] - in_closure <= 50 * 50
