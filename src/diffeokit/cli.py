@@ -17,6 +17,7 @@ filteredness report that is not an unqualified yes (filtered).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from .catalog import build_catalog_space, catalog_names
@@ -256,6 +257,8 @@ def _cmd_catalog(args):
     return payload, lines, False
 
 
+# parse_args returns a fresh Namespace per call, so one parser serves them all
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")

@@ -188,6 +188,10 @@ class RatMat:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         width = other.cols
+        if not width:
+            # nothing to scan: the empty product, e.g. a check against a
+            # relation basis with no relations
+            return RatMat._trusted(self.rows, 0, [])
         other_rows = _sparse_rows(other)
         out = [_ZERO] * (self.rows * width)
         for i in range(self.rows):

@@ -13,6 +13,7 @@ coefficient per element of the lexicographic wedge basis.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence
 
 from .linalg import RatMat, rational
@@ -30,19 +31,64 @@ __all__ = [
     "form_value_at_zero",
 ]
 
+_ONE = Fraction(1)
+
+
+def _nonnegative(nvars: int) -> int:
+    if nvars < 0:
+        raise ValueError(f"negative variable count {nvars}")
+    return nvars
+
+
+def _accumulate(into: dict, terms: Mapping) -> dict:
+    """Add ``terms`` into the term dict ``into`` in place and return it.
+
+    A coefficient that cancels to zero is deleted, so ``into`` stays
+    canonical when both sides are.
+    """
+    for exps, c in terms.items():
+        old = into.get(exps)
+        if old is None:
+            into[exps] = c
+        else:
+            c += old
+            if c:
+                into[exps] = c
+            else:
+                del into[exps]
+    return into
+
+
+def _product(a: Mapping, b: Mapping) -> dict:
+    """Product of two canonical term dicts, without zero coefficients."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exps = tuple(map(add, e1, e2))
+            c = c1 * c2
+            old = out.get(exps)
+            if old is not None:
+                c += old
+                if not c:
+                    del out[exps]
+                    continue
+            out[exps] = c
+    return out
+
 
 class Poly:
     """Sparse multivariate polynomial over the rationals.
 
     ``terms`` maps exponent tuples of length ``nvars`` to nonzero
-    coefficients.  Instances are treated as immutable values.
+    coefficients.  Instances are treated as immutable values.  The
+    constructor validates and coerces its input; arithmetic builds its
+    results once, through ``_trusted``, from terms that are already clean.
     """
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], object] | None = None):
-        if nvars < 0:
-            raise ValueError(f"negative variable count {nvars}")
+        _nonnegative(nvars)
         clean: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
@@ -59,15 +105,29 @@ class Poly:
         self.nvars = nvars
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict) -> "Poly":
+        """Wrap ``terms`` as it is: no copy, no check, no coercion.
+
+        Only for terms computed from Poly terms, where every exponent tuple
+        has length ``nvars`` and every coefficient is a nonzero Fraction;
+        anything else goes through ``__init__``.
+        """
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
+
     # -- construction -----------------------------------------------------
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
-        return cls(nvars)
+        return cls._trusted(_nonnegative(nvars), {})
 
     @classmethod
     def constant(cls, nvars: int, value) -> "Poly":
-        return cls(nvars, {(0,) * nvars: rational(value)})
+        value = rational(value)
+        return cls._trusted(_nonnegative(nvars), {(0,) * nvars: value} if value else {})
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Poly":
@@ -75,7 +135,7 @@ class Poly:
         if not 1 <= i <= nvars:
             raise ValueError(f"variable s{i} out of range for {nvars} variables")
         exps = tuple(1 if j == i - 1 else 0 for j in range(nvars))
-        return cls(nvars, {exps: 1})
+        return cls._trusted(nvars, {exps: _ONE})
 
     # -- arithmetic -------------------------------------------------------
 
@@ -90,15 +150,12 @@ class Poly:
 
     def __add__(self, other) -> "Poly":
         other = self._coerce(other)
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + c
-        return Poly(self.nvars, terms)
+        return Poly._trusted(self.nvars, _accumulate(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         return self + (-self._coerce(other))
@@ -108,27 +165,23 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         other = self._coerce(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                terms[exps] = terms.get(exps, Fraction(0)) + c1 * c2
-        return Poly(self.nvars, terms)
+        return Poly._trusted(self.nvars, _product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"polynomial powers need integer exponents >= 0, got {exponent}")
-        result = Poly.constant(self.nvars, 1)
-        base = self
+        result = {(0,) * self.nvars: _ONE}
+        base = self.terms
         e = exponent
         while e:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = _product(result, base)
             e >>= 1
-        return result
+            if e:
+                base = _product(base, base)
+        return Poly._trusted(self.nvars, result)
 
     # -- calculus and evaluation -------------------------------------------
 
@@ -136,16 +189,16 @@ class Poly:
         """Partial derivative with respect to s_i (i in 1..nvars)."""
         if not 1 <= i <= self.nvars:
             raise ValueError(f"variable s{i} out of range for {self.nvars} variables")
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self.terms.items():
-            e = exps[i - 1]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[i - 1] = e - 1
-            key = tuple(new)
-            terms[key] = terms.get(key, Fraction(0)) + c * e
-        return Poly(self.nvars, terms)
+        # lowering the i-th exponent of the terms that have one is injective,
+        # so no two terms meet and nothing cancels
+        return Poly._trusted(
+            self.nvars,
+            {
+                exps[: i - 1] + (exps[i - 1] - 1,) + exps[i:]: c * exps[i - 1]
+                for exps, c in self.terms.items()
+                if exps[i - 1]
+            },
+        )
 
     def substitute(self, args: Sequence["Poly"], nvars: int) -> "Poly":
         """Substitute args[i] for s_{i+1}; the result lives in ``nvars`` variables."""
@@ -158,14 +211,24 @@ class Poly:
                 raise ValueError(
                     f"substitution argument in {a.nvars} variables, expected {nvars}"
                 )
-        result = Poly.zero(nvars)
+        return self._substituted(args, nvars, {})
+
+    def _substituted(self, args: Sequence["Poly"], nvars: int, powers: dict) -> "Poly":
+        """``substitute`` without its checks; ``powers`` caches the term
+        dict of ``args[i] ** e`` by ``(i, e)`` for callers substituting the
+        same ``args`` more than once."""
+        one = (0,) * nvars
+        result: dict[tuple[int, ...], Fraction] = {}
         for exps, c in self.terms.items():
-            term = Poly.constant(nvars, c)
-            for a, e in zip(args, exps):
+            term = {one: c}
+            for i, e in enumerate(exps):
                 if e:
-                    term = term * (a**e)
-            result = result + term
-        return result
+                    power = powers.get((i, e))
+                    if power is None:
+                        power = powers[i, e] = (args[i] ** e).terms
+                    term = _product(term, power)
+            _accumulate(result, term)
+        return Poly._trusted(nvars, result)
 
     def evaluate(self, point: Sequence) -> Fraction:
         point = [rational(x) for x in point]
@@ -200,7 +263,8 @@ class Poly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self._key() == other._key()
+        # terms are canonical, so equal dicts are equal polynomials
+        return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
         return hash(self._key())
@@ -309,7 +373,9 @@ def compose_maps(f: PolyMap, g: PolyMap) -> PolyMap:
             f"cannot compose: inner map lands in R^{g.target_dim}, "
             f"outer map starts from R^{f.source_dim}"
         )
-    comps = [c.substitute(g.components, g.source_dim) for c in f.components]
+    # every component substitutes the same g.components: share their powers
+    powers: dict = {}
+    comps = [c._substituted(g.components, g.source_dim, powers) for c in f.components]
     return PolyMap(g.source_dim, f.target_dim, comps)
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .forms import PresentedForm, PresentedSection
 from .linalg import RatMat
@@ -84,8 +85,7 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "name" | "int" | "sym"
     text: str
     line: int

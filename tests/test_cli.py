@@ -1,5 +1,7 @@
+import argparse
 import json
 
+from diffeokit import cli
 from diffeokit.catalog import build_catalog_space, catalog_names
 from diffeokit.cli import run_command
 from diffeokit.textio import _MAX_NESTING, export_presentation, parse_presentation
@@ -301,3 +303,32 @@ class TestErrorPaths:
         assert code == 0
         assert "weakly_filtered: unknown" in out
         assert "not reached" in out
+
+
+class TestOneParserPerProcess:
+    def test_two_commands_build_the_parser_once(self, capsys, monkeypatch):
+        builds = []
+        add_subparsers = argparse.ArgumentParser.add_subparsers
+
+        # only the top-level parser adds subparsers, once per build
+        def counted(self, *args, **kwargs):
+            builds.append(self)
+            return add_subparsers(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+        cli._build_parser.cache_clear()
+        assert run(capsys, ["tangent", "catalog:wedge_lines"])[0] == 0
+        assert run(capsys, ["rho", "catalog:z2_quotient", "--k", "1"])[0] == 0
+        assert len(builds) == 1
+
+    def test_usage_error_leaves_later_commands_alone(self, capsys):
+        first = ["rho", "catalog:z2_quotient", "--k", "2", "--strict", "--json"]
+        second = ["tangent", "catalog:wedge_lines", "--k", "2"]
+        alone = [run(capsys, first)[:2], run(capsys, second)[:2]]
+        assert alone[0][0] == 1 and alone[1][0] == 0
+        for bad in (["rho", "catalog:z2_quotient"], ["tangent", "--k", "x"], ["--json"]):
+            got_first = run(capsys, first)[:2]
+            code, out, err = run(capsys, bad)
+            assert (code, out) == (2, "")
+            assert "usage:" in err
+            assert [got_first, run(capsys, second)[:2]] == alone

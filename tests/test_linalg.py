@@ -121,6 +121,13 @@ def test_empty_matrices_compose():
     b = RatMat(0, 3, [])
     assert (a @ b) == RatMat.zeros(2, 3)
     assert a.transpose().rows == 0
+    # right factors with no columns, as in a check against no relations
+    dense = RatMat.from_rows([[1, 2, 0], [0, 3, 4]])
+    assert dense @ RatMat(3, 0, []) == RatMat(2, 0, [])
+    assert RatMat.identity(3) @ RatMat(3, 0, []) == RatMat(3, 0, [])
+    assert RatMat(0, 3, []) @ RatMat(3, 0, []) == RatMat(0, 0, [])
+    assert RatMat(0, 0, []) @ RatMat(0, 0, []) == RatMat(0, 0, [])
+    assert (a @ RatMat(0, 0, [])) == RatMat(2, 0, [])
 
 
 def test_column_block_rejects_columns_out_of_range():

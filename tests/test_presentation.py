@@ -399,3 +399,23 @@ class TestCompositionCounts:
         report = filteredness(p, 8)
         assert report == FilterednessReport("yes", "yes", True, 50)
         assert call_counts["compose_maps"] - in_closure <= 50 * 50
+
+    def test_filteredness_builds_no_polynomial_through_the_validating_constructor(
+        self, monkeypatch
+    ):
+        cases = [
+            (near_identity_space(), 3, FilterednessReport("unknown", "unknown", False, 40)),
+            (signed_permutation_space(), 8, FilterednessReport("yes", "yes", True, 50)),
+        ]
+        validated = []
+        validating_init = Poly.__init__
+
+        def counted_init(self, *args, **kwargs):
+            validated.append(args)
+            validating_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Poly, "__init__", counted_init)
+        for p, depth, expected in cases:
+            validated.clear()
+            assert filteredness(p, depth) == expected
+            assert len(validated) == 0

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffeokit.linalg import RatMat
 from diffeokit.multilinear import exterior_power_map
@@ -251,3 +253,145 @@ class TestValueAtZero:
             lhs = form_value_at_zero(pullback_form(w, f))
             rhs = form_value_at_zero(w) @ exterior_power_map(jacobian_at_zero(f), k)
             assert lhs == rhs
+
+
+# -- reference arithmetic: every result through the validating constructor ----
+
+
+def reference_add(a, b):
+    terms = dict(a.terms)
+    for exps, c in b.terms.items():
+        terms[exps] = terms.get(exps, Fraction(0)) + c
+    return Poly(a.nvars, terms)
+
+
+def reference_neg(a):
+    return Poly(a.nvars, {e: -c for e, c in a.terms.items()})
+
+
+def reference_mul(a, b):
+    terms = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            exps = tuple(x + y for x, y in zip(e1, e2))
+            terms[exps] = terms.get(exps, Fraction(0)) + c1 * c2
+    return Poly(a.nvars, terms)
+
+
+def reference_pow(a, e):
+    result = Poly(a.nvars, {(0,) * a.nvars: 1})
+    for _ in range(e):
+        result = reference_mul(result, a)
+    return result
+
+
+def reference_derivative(a, i):
+    terms = {}
+    for exps, c in a.terms.items():
+        e = exps[i - 1]
+        if e == 0:
+            continue
+        new = list(exps)
+        new[i - 1] = e - 1
+        key = tuple(new)
+        terms[key] = terms.get(key, Fraction(0)) + c * e
+    return Poly(a.nvars, terms)
+
+
+def reference_substitute(a, args, nvars):
+    result = Poly(nvars)
+    for exps, c in a.terms.items():
+        term = Poly(nvars, {(0,) * nvars: c})
+        for arg, e in zip(args, exps):
+            if e:
+                term = reference_mul(term, reference_pow(arg, e))
+        result = reference_add(result, term)
+    return result
+
+
+def assert_canonical(p, nvars):
+    assert p.nvars == nvars
+    for exps, c in p.terms.items():
+        assert type(exps) is tuple and len(exps) == nvars
+        assert all(type(e) is int and e >= 0 for e in exps)
+        assert type(c) is Fraction and c != 0
+
+
+def assert_same(result, reference):
+    assert_canonical(result, reference.nvars)
+    assert result == reference
+    assert hash(result) == hash(reference)
+
+
+# zero coefficients are in range on purpose: the constructor must drop them
+coefficients = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def polys(draw, nvars):
+    """Degree at most 3 in ``nvars`` variables, zero polynomials included."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        exps = [0] * nvars
+        for v in draw(st.lists(st.integers(0, nvars - 1), max_size=3) if nvars else st.just([])):
+            exps[v] += 1
+        terms[tuple(exps)] = draw(coefficients)
+    return Poly(nvars, terms)
+
+
+@st.composite
+def poly_pairs(draw):
+    """Two polynomials in the same variables, often built to cancel: the
+    negation, a partial negation, or the same terms with some signs flipped,
+    so that sums and products lose terms."""
+    nvars = draw(st.integers(0, 3))
+    a = draw(polys(nvars))
+    kind = draw(st.sampled_from(["free", "negated", "partly", "flipped", "zero"]))
+    if kind == "free":
+        b = draw(polys(nvars))
+    elif kind == "negated":
+        b = reference_neg(a)
+    elif kind == "partly":
+        b = reference_add(draw(polys(nvars)), reference_neg(a))
+    elif kind == "flipped":
+        b = Poly(nvars, {e: c if draw(st.booleans()) else -c for e, c in a.terms.items()})
+    else:
+        b = Poly(nvars)
+    return a, b
+
+
+@st.composite
+def poly_maps(draw, source_dim, target_dim):
+    return PolyMap(source_dim, target_dim, [draw(polys(source_dim)) for _ in range(target_dim)])
+
+
+@given(poly_pairs(), st.integers(0, 4), st.data())
+@settings(max_examples=300)
+def test_arithmetic_matches_validating_reference(pair, exponent, data):
+    a, b = pair
+    n = a.nvars
+    assert_same(a + b, reference_add(a, b))
+    assert_same(a - b, reference_add(a, reference_neg(b)))
+    assert_same(-a, reference_neg(a))
+    assert_same(a * b, reference_mul(a, b))
+    assert_same(a**exponent, reference_pow(a, exponent))
+    for i in range(1, n + 1):
+        assert_same(a.derivative(i), reference_derivative(a, i))
+    c = data.draw(coefficients)
+    assert_same(a + c, reference_add(a, Poly(n, {(0,) * n: c})))
+    assert_same(a * c, reference_mul(a, Poly(n, {(0,) * n: c})))
+
+
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.data())
+@settings(max_examples=150)
+def test_substitution_and_composition_match_validating_reference(a, b, c, data):
+    f = data.draw(poly_maps(b, a))
+    g = data.draw(poly_maps(c, b))
+    composite = compose_maps(f, g)
+    expected = [reference_substitute(p, g.components, c) for p in f.components]
+    assert composite == PolyMap(c, a, expected)
+    assert hash(composite) == hash(PolyMap(c, a, expected))
+    for p, q in zip(f.components, expected):
+        assert_same(p.substitute(g.components, c), q)
+    for p in composite.components:
+        assert_canonical(p, c)
