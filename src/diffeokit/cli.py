@@ -7,8 +7,9 @@ and a JSON report with ``--json``; the JSON carries every number the
 table shows, with rationals as "p/q" strings.
 
 Exit codes separate "computed fine, the answer is no" from "failed to
-compute": input errors exit with 2; negative verdicts exit with 1 only
-under ``--strict`` and with 0 otherwise.  The negative verdicts are: an
+compute": input errors exit with 2; internal faults and exhausted
+resources exit with 3; negative verdicts exit with 1 only under
+``--strict`` and with 0 otherwise.  The negative verdicts are: an
 incompatible family (check-form, eval-form), an invalid section
 (sections), a comparison map that is not an isomorphism (rho), and a
 filteredness report that is not an unqualified yes (filtered).
@@ -334,6 +335,14 @@ def run_command(argv: list[str]) -> int:
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (AssertionError, MemoryError, RecursionError) as exc:
+        # a failed internal consistency check or an exhausted resource:
+        # never exit 1, which is the --strict negative verdict
+        detail = " ".join(str(exc).split())
+        name = type(exc).__name__
+        print(f"internal error: {name}: {detail}" if detail else f"internal error: {name}",
+              file=sys.stderr)
+        return 3
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

@@ -200,7 +200,7 @@ def restrict_ambient_form(p: GermPresentation, w_amb: PolyForm) -> PresentedForm
     report = _first_incompatible(result, p.arrows)
     if not report.ok:
         raise AssertionError(
-            "internal error: ambient restriction produced an incompatible family "
+            "ambient restriction produced an incompatible family "
             f"(arrow {report.failing_arrow!r})"
         )
     return result

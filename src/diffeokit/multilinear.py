@@ -87,9 +87,7 @@ def exterior_power_map(a: RatMat, k: int) -> RatMat:
     if k == 1:
         return a
     # nonzero entries of each row, as (1-based column, value)
-    nonzero = [
-        [(c + 1, x) for c, x in enumerate(a.row_list(r)) if x] for r in range(a.rows)
-    ]
+    nonzero = [[(c + 1, x) for c, x in row.items()] for row in a.row_dicts]
     # minors[J] = {I: minor on rows J, columns I}, nonzero ones only
     minors: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {(): {(): _ONE}}
     for d in range(1, k + 1):
@@ -112,32 +110,23 @@ def exterior_power_map(a: RatMat, k: int) -> RatMat:
                 if acc:
                     grown[J + (r + 1,)] = acc
         minors = grown
-    row_basis = index_basis(a.rows, k)
-    col_basis = index_basis(a.cols, k)
-    width = len(col_basis)
-    entries = [_ZERO] * (len(row_basis) * width)
+    row_positions = index_basis(a.rows, k).positions
+    col_positions = index_basis(a.cols, k).positions
+    # rows without a nonzero minor stay the shared zero rows
+    out = RatMat.zeros(comb(a.rows, k), comb(a.cols, k))
     for J, by_cols in minors.items():
-        base = row_basis.position(J) * width
-        for I, m in by_cols.items():
-            entries[base + col_basis.position(I)] = m
-    return RatMat._trusted(len(row_basis), width, entries)
+        out.row_dicts[row_positions[J]] = {col_positions[I]: m for I, m in by_cols.items()}
+    return out
 
 
 def tensor_product_map(a: RatMat, b: RatMat) -> RatMat:
     """Kronecker product in the standard ordered tensor basis."""
-    rows = a.rows * b.rows
-    cols = a.cols * b.cols
-    entries = [0] * (rows * cols)
-    for i1 in range(a.rows):
-        for i2 in range(b.rows):
-            r = i1 * b.rows + i2
-            for j1 in range(a.cols):
-                av = a[i1, j1]
-                if av == 0:
-                    continue
-                for j2 in range(b.cols):
-                    entries[r * cols + (j1 * b.cols + j2)] = av * b[i2, j2]
-    return RatMat(rows, cols, entries)
+    rows = [
+        {j1 * b.cols + j2: x * y for j1, x in ra.items() for j2, y in rb.items()}
+        for ra in a.row_dicts
+        for rb in b.row_dicts
+    ]
+    return RatMat._trusted(len(rows), a.cols * b.cols, rows)
 
 
 def _check_dims(dims) -> tuple[int, int, int]:

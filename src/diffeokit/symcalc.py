@@ -350,16 +350,17 @@ class PolyMap:
     def evaluate(self, point: Sequence) -> list[Fraction]:
         return [c.evaluate(point) for c in self.components]
 
-    def _key(self):
-        return (self.source_dim, self.target_dim, self.components)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyMap):
             return NotImplemented
-        return self._key() == other._key()
+        return (
+            self.source_dim == other.source_dim
+            and self.target_dim == other.target_dim
+            and self.components == other.components
+        )
 
     def __hash__(self):
-        return hash(self._key())
+        return hash((self.source_dim, self.target_dim, self.components))
 
     def __repr__(self) -> str:
         body = ", ".join(str(c) for c in self.components)

@@ -26,6 +26,7 @@ from .presentation import GermPresentation, PresentedMap, require_valid, require
 from .symcalc import jacobian_at_zero
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 __all__ = [
     "VectDiagram",
@@ -119,9 +120,18 @@ class ColimitResult:
         assembled = RatMat.hstack(blocks, rows=rows)
         if not (assembled @ self.relations.relation_basis).is_zero():
             raise AssertionError(
-                f"internal error: {what} does not annihilate the relation space"
+                f"{what} does not annihilate the relation space"
             )
-        return assembled @ self.section
+        return self.relations.free_columns(assembled)
+
+
+def _decrement(row: dict[int, Fraction], c: int) -> None:
+    """Subtract 1 at column ``c`` of a sparse row, dropping a zero."""
+    v = row.get(c, _ZERO) - _ONE
+    if v:
+        row[c] = v
+    else:
+        del row[c]
 
 
 def vect_colimit(d: VectDiagram) -> ColimitResult:
@@ -131,20 +141,21 @@ def vect_colimit(d: VectDiagram) -> ColimitResult:
     d.check_shapes()
     *offsets, total = accumulate(d.objects, initial=0)
     width = sum(mat.cols for _, _, mat in d.arrows)
-    # column j of the relation matrix is relation j; entries are the
-    # arrows' own Fractions, so the matrix needs no coercion
-    data = [_ZERO] * (total * width)
+    # column j + s of the relation matrix is the relation of source basis
+    # vector s of the arrow whose relations start at column j; entries are
+    # the arrows' own Fractions, so the matrix needs no coercion
+    rows: list[dict[int, Fraction]] = [{} for _ in range(total)]
     j = 0
     for src, dst, mat in d.arrows:
+        for r, image in enumerate(mat.row_dicts, offsets[dst]):
+            row = rows[r]
+            for s, x in image.items():
+                row[j + s] = x
         for s in range(mat.cols):
-            for r in range(mat.rows):
-                x = mat.data[r * mat.cols + s]
-                if x:
-                    data[(offsets[dst] + r) * width + j] = x
-            data[(offsets[src] + s) * width + j] -= 1
-            j += 1
+            _decrement(rows[offsets[src] + s], j + s)
+        j += mat.cols
     relations = QuotientPresentation.from_relation_span(
-        total, RatMat._trusted(total, width, data)
+        total, RatMat._trusted(total, width, rows)
     )
     cocones = [
         relations.projection.column_block(offsets[i], d.objects[i])
@@ -164,15 +175,13 @@ class LimitResult:
 def vect_limit(d: VectDiagram) -> LimitResult:
     d.check_shapes()
     *offsets, total = accumulate(d.objects, initial=0)
-    constraint_rows: list[list] = []
+    constraint_rows: list[dict[int, Fraction]] = []
     for src, dst, mat in d.arrows:
-        for r in range(d.objects[dst]):
-            row = [0] * total
-            for s in range(d.objects[src]):
-                row[offsets[src] + s] += mat[r, s]
-            row[offsets[dst] + r] -= 1
+        for r, image in enumerate(mat.row_dicts):
+            row = {offsets[src] + s: x for s, x in image.items()}
+            _decrement(row, offsets[dst] + r)
             constraint_rows.append(row)
-    basis = kernel_basis(RatMat.from_rows(constraint_rows, cols=total))
+    basis = kernel_basis(RatMat._trusted(len(constraint_rows), total, constraint_rows))
     cones = [
         basis.submatrix(range(offset, offset + dim), range(basis.cols))
         for offset, dim in zip(offsets, d.objects)
@@ -232,6 +241,6 @@ def _pushforward(m: PresentedMap, k: int) -> tuple[RatMat, RatMat, RatMat]:
     target_rho = _rho(dst_tangent, dst_ck, k)
     if target_rho @ fibre_push != wedge_push @ _rho(src_tangent, src_ck, k):
         raise AssertionError(
-            "internal error: induced maps do not commute with the comparison map"
+            "induced maps do not commute with the comparison map"
         )
     return fibre_push, wedge_push, target_rho

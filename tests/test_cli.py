@@ -4,6 +4,7 @@ import json
 from diffeokit import cli
 from diffeokit.catalog import build_catalog_space, catalog_names
 from diffeokit.cli import run_command
+from diffeokit.tangent import ColimitResult
 from diffeokit.textio import _MAX_NESTING, export_presentation, parse_presentation
 
 
@@ -303,6 +304,33 @@ class TestErrorPaths:
         assert code == 0
         assert "weakly_filtered: unknown" in out
         assert "not reached" in out
+
+
+class TestInternalFaults:
+    def test_failed_descent_check_exits_three(self, capsys, monkeypatch):
+        def broken(self, blocks, rows, what):
+            raise AssertionError(f"{what} does not annihilate the relation space")
+
+        monkeypatch.setattr(ColimitResult, "descend", broken)
+        for argv in (["rho", "catalog:wedge_lines", "--k", "2"],
+                     ["rho", "catalog:z2_quotient", "--k", "2", "--strict", "--json"]):
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (3, "")
+            assert err == (
+                "internal error: AssertionError: "
+                "the comparison map does not annihilate the relation space\n"
+            )
+
+    def test_exhausted_resources_exit_three(self, capsys, monkeypatch):
+        for exc, expected in ((MemoryError(), "internal error: MemoryError\n"),
+                              (RecursionError("maximum recursion\ndepth exceeded"),
+                               "internal error: RecursionError: maximum recursion depth exceeded\n")):
+            def raising(*args, _exc=exc):
+                raise _exc
+
+            monkeypatch.setattr(cli, "vect_colimit", raising)
+            code, out, err = run(capsys, ["tangent", "catalog:wedge_lines", "--strict"])
+            assert (code, out, err) == (3, "", expected)
 
 
 class TestOneParserPerProcess:

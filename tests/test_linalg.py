@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -281,3 +283,144 @@ def test_from_relation_span_matches_dense_reference(relations):
     assert q.projection == projection
     assert q.section == section
     assert q.quotient_dim == section.cols
+
+
+# -- sparse storage against dense lists of lists ------------------------------
+
+
+@st.composite
+def dense_lists(draw, rows=None, cols=None, max_dim=8):
+    """A rows x cols list of lists, 0x0 up to max_dim x max_dim: dense, mostly
+    zero or all zero."""
+    rows = draw(st.integers(0, max_dim)) if rows is None else rows
+    cols = draw(st.integers(0, max_dim)) if cols is None else cols
+    kind = draw(st.sampled_from(["dense", "sparse", "zero"]))
+    if kind == "zero":
+        return [[Fraction(0)] * cols for _ in range(rows)]
+    values = sparse_fractions if kind == "sparse" else small_fractions
+    return draw(st.lists(st.lists(values, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
+def from_lists(rows, cols):
+    return RatMat.from_rows(rows, cols=cols)
+
+
+def width(rows, cols=None):
+    return len(rows[0]) if rows else cols
+
+
+def assert_is(m, rows, cols):
+    """``m`` is the rows x cols matrix with these entries, stored sparse:
+    one dict per row, nonzero Fractions only, columns in range."""
+    assert (m.rows, m.cols) == (len(rows), cols)
+    assert len(m.row_dicts) == m.rows
+    for row in m.row_dicts:
+        assert all(0 <= j < cols and x != 0 and type(x) is Fraction for j, x in row.items())
+    assert m.data == [x for row in rows for x in row]
+    assert all(type(x) is Fraction for x in m.data)
+
+
+def reference_matmul(a, b, inner, cols):
+    return [[sum((row[k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(cols)]
+            for row in a]
+
+
+@st.composite
+def products(draw):
+    """(a, b, inner, cols) with a rows x inner and b inner x cols; b is drawn
+    at random, or its columns lie in the kernel of a, so that every entry of
+    the product cancels to zero."""
+    a = draw(dense_lists())
+    inner = width(a, draw(st.integers(0, 8)))
+    if draw(st.booleans()):
+        basis = kernel_basis(from_lists(a, inner))
+        picks = draw(st.lists(st.integers(0, max(basis.cols - 1, 0)), max_size=8)) if basis.cols else []
+        b = [[basis[i, j] for j in picks] for i in range(inner)]
+        return a, b, inner, len(picks)
+    b = draw(dense_lists(rows=inner))
+    return a, b, inner, width(b, draw(st.integers(0, 8)))
+
+
+@given(products())
+@settings(max_examples=300)
+def test_matmul_matches_dense_reference(case):
+    a, b, inner, cols = case
+    product = from_lists(a, inner) @ from_lists(b, cols)
+    assert_is(product, reference_matmul(a, b, inner, cols), cols)
+
+
+@given(dense_lists(), st.integers(0, 8), st.data())
+@settings(max_examples=200)
+def test_access_transpose_and_slices_match_dense_reference(rows, cols, data):
+    cols = width(rows, cols)
+    m = from_lists(rows, cols)
+    assert_is(m, rows, cols)
+    assert_is(m.transpose(), [list(c) for c in zip(*rows)] if rows else [[]] * cols, len(rows))
+    assert m.to_rows() == rows
+    assert m.is_zero() == all(x == 0 for row in rows for x in row)
+    for i in range(m.rows):
+        assert m.row_list(i) == rows[i]
+        for j in range(cols):
+            assert m[i, j] == rows[i][j]
+    for j in range(cols):
+        assert m.col_list(j) == [row[j] for row in rows]
+    start = data.draw(st.integers(0, cols))
+    count = data.draw(st.integers(0, cols - start))
+    assert_is(m.column_block(start, count), [row[start : start + count] for row in rows], count)
+    # indices in any order, repeats allowed
+    row_idx = data.draw(st.lists(st.integers(0, m.rows - 1), max_size=8)) if m.rows else []
+    col_idx = data.draw(st.lists(st.integers(0, cols - 1), max_size=8)) if cols else []
+    assert_is(m.submatrix(row_idx, col_idx), [[rows[i][j] for j in col_idx] for i in row_idx],
+              len(col_idx))
+
+
+@given(st.lists(dense_lists(rows=3), min_size=1, max_size=4),
+       st.lists(dense_lists(cols=3), min_size=1, max_size=4))
+@settings(max_examples=150)
+def test_stacks_match_dense_reference(side_by_side, on_top):
+    blocks = [from_lists(b, width(b, 0)) for b in side_by_side]
+    joined = [[x for b in side_by_side for x in b[i]] for i in range(3)]
+    assert_is(RatMat.hstack(blocks), joined, sum(b.cols for b in blocks))
+    assert_is(RatMat.vstack([from_lists(b, 3) for b in on_top]),
+              [row for b in on_top for row in b], 3)
+
+
+@st.composite
+def same_shape_pairs(draw):
+    """Two matrices of one shape; the second may be the first, negated,
+    scaled or partly negated, so that sums and differences cancel."""
+    a = draw(dense_lists())
+    cols = width(a, draw(st.integers(0, 8)))
+    how = draw(st.sampled_from(["free", "same", "negated", "scaled", "half"]))
+    if how == "free":
+        b = draw(dense_lists(rows=len(a), cols=cols))
+    elif how == "half":
+        b = [[-x if j % 2 else x for j, x in enumerate(row)] for row in a]
+    else:
+        c = {"same": 1, "negated": -1}.get(how) or draw(small_fractions)
+        b = [[c * x for x in row] for row in a]
+    return a, b, cols
+
+
+@given(same_shape_pairs(), small_fractions)
+@settings(max_examples=200)
+def test_arithmetic_equality_and_hash_match_dense_reference(pair, c):
+    a, b, cols = pair
+    ma, mb = from_lists(a, cols), from_lists(b, cols)
+    assert_is(ma + mb, [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)], cols)
+    assert_is(ma - mb, [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)], cols)
+    assert_is(-ma, [[-x for x in r] for r in a], cols)
+    assert_is(ma.scale(c), [[c * x for x in r] for r in a], cols)
+    assert (ma == mb) == (a == b)
+    if a == b:
+        assert hash(ma) == hash(mb)
+    # equal values built along different paths
+    rebuilt = (ma + mb) - mb
+    assert rebuilt == ma and hash(rebuilt) == hash(ma)
+    assert ma.transpose().transpose() == ma
+    assert ma != RatMat.zeros(len(a), cols + 1)
+    # pickle and deepcopy, also of a result made of shared zero rows
+    for original, rows in ((ma, a), (ma.scale(0), [[Fraction(0)] * cols for _ in a])):
+        for copied in (pickle.loads(pickle.dumps(original)), copy.deepcopy(original)):
+            assert_is(copied, rows, cols)

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from diffeokit.catalog import ambient_inclusion, build_catalog_space
+from diffeokit.catalog import ambient_inclusion, build_catalog_space, catalog_names
 from diffeokit.linalg import QuotientPresentation, RatMat
 from diffeokit.multilinear import exterior_power_map
 from diffeokit.tangent import (
@@ -21,6 +21,20 @@ from util_rand import rand_diagram, rand_matrix
 
 def space(name, **params):
     return build_catalog_space(name, params or None).presentation
+
+
+def glued_diagram(rng):
+    """Charts of dimension 1-4, each glued to the next and some also to the
+    first, by sparse maps with scaled entries, as chart transitions give."""
+    dims = [rng.randint(1, 4) for _ in range(rng.randint(2, 6))]
+    scales = [Fraction(v) for v in (1, -1, 2, -2, "1/2", "-1/3", "3/2")]
+    arrows = []
+    for i in range(len(dims) - 1):
+        for j in [i + 1] + ([0] if rng.random() < 0.5 else []):
+            entries = [rng.choice(scales) if rng.random() < 0.4 else 0
+                       for _ in range(dims[j] * dims[i])]
+            arrows.append((i, j, RatMat(dims[j], dims[i], entries)))
+    return VectDiagram(dims, arrows)
 
 
 class TestFibreFunctor:
@@ -147,6 +161,26 @@ class TestDescend:
             assert colim.descend(colim.cocones, colim.dim, "the cocones") == RatMat.identity(
                 colim.dim
             )
+
+    def test_free_columns_equal_the_product_with_the_section(self):
+        def check(colim, blocks, rows):
+            assembled = RatMat.hstack(blocks, rows=rows)
+            assert colim.descend(blocks, rows, "the blocks") == assembled @ colim.section
+
+        # the catalog spaces: blocks of the comparison map in degrees 1-3
+        spaces = [space(name) for name in catalog_names()]
+        spaces += [space("euclidean", n=4), space("wedge_lines", m=3), space("spaghetti", m=4)]
+        for p in spaces:
+            tangent = vect_colimit(apply_fibre_functor(p, 1))
+            for k in range(1, 4):
+                ck = vect_colimit(apply_fibre_functor(p, k))
+                check(ck, [exterior_power_map(c, k) for c in tangent.cocones], comb(tangent.dim, k))
+        # random glued diagrams, with blocks from a random map on the colimit
+        rng = random.Random(131)
+        for _ in range(60):
+            colim = vect_colimit(glued_diagram(rng))
+            b = rand_matrix(rng, rng.randint(0, 4), colim.dim)
+            check(colim, [b @ c for c in colim.cocones], b.rows)
 
     def test_block_that_misses_a_relation_is_rejected(self):
         # the tangent colimit of z2_quotient is zero; the identity on the
