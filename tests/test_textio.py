@@ -1,8 +1,14 @@
+import re
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffeokit.catalog import build_catalog_space, catalog_names
+from diffeokit.cli import run_command
 from diffeokit.forms import PresentedForm
 from diffeokit.linalg import RatMat
 from diffeokit.symcalc import Poly, PolyForm, PolyMap
@@ -22,6 +28,24 @@ def s(nvars, i):
 
 
 WEDGE = build_catalog_space("wedge_lines", {"m": 2}).presentation
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def readme_blocks(lang):
+    return re.findall(rf"```{lang}\n(.*?)```", README, re.S)
+
+
+def readme_examples():
+    """The README's ``$ diffeo-kit ...`` lines: (argv, expected stdout)."""
+    examples = []
+    for block in readme_blocks("sh"):
+        for chunk in block.split("$ ")[1:]:
+            command, _, output = chunk.partition("\n")
+            program, *argv = shlex.split(command)
+            assert program == "diffeo-kit"
+            examples.append((argv, output))
+    return examples
 
 
 class TestRoundTrips:
@@ -137,27 +161,21 @@ class TestGrammar:
         assert "wedge" in text.splitlines()
         assert parse_presentation(text).presentation.wedge_type
 
-    def test_readme_example_file_parses_and_computes(self):
-        # keep the README's worked example honest
-        text = """
-        space axes_subset
-        chart o : R^0
-        chart x : R^1
-        chart y : R^1
-        arrow z1 : o -> x = [0]
-        arrow z2 : o -> y = [0]
-        ambient 2
-        embed o = [0, 0]
-        embed x = [s1, 0]
-        embed y = [0, s1]
-
-        form volume : degree 2 on axes_subset
-        on x : 0
-        on y : 0
-        """
+    def test_readme_example_file_parses_and_computes(self, capsys):
+        # keep the README's worked example and command line examples honest
+        [text] = readme_blocks("text")
         doc = parse_presentation(text)
         assert doc.presentation == build_catalog_space("axes_subset").presentation
         assert doc.forms["volume"].chart_forms["x"].is_zero()
+        ell = doc.sections["ell"]
+        assert (ell.bundle, ell.space) == ("cotangent", "axes_subset")
+        assert ell.chart_data["x"].components == (Poly.constant(1, 1) + s(1, 1),)
+        assert ell.chart_data["y"].components == (Poly.constant(1, 2),)
+        examples = readme_examples()
+        assert len(examples) == 3
+        for argv, expected in examples:
+            assert run_command(argv) == 0, argv
+            assert capsys.readouterr().out == expected, argv
 
 
 class TestSections:
@@ -301,3 +319,197 @@ class TestRendering:
                 f"form w : degree {degree} on demo\non p : {render_poly_form(form)}\n"
             )
             assert parse_presentation(text).forms["w"].chart_forms["p"] == form
+
+
+# one case per ParseError message template: each pins the message, line and
+# column, so that the parser's error positions and precedence cannot drift
+_DEMO = "space demo\nchart o : R^0\nchart x : R^1\nchart y : R^2\n"
+_ARROW = _DEMO + "arrow a : x -> y = "
+_FORM1 = _DEMO + "form w : degree 1 on demo\n"
+_FORM2 = _DEMO + "form w : degree 2 on demo\n"
+_SECTION = _DEMO + "section t : tangent on demo\n"
+
+ERROR_CASES = [
+    # the whole line is tokenized first, so a bad character beats an
+    # earlier syntax error on the same line
+    ("bad-character", "space demo\nchart : R^1 $ # $\n",
+     "unexpected character '$'", 2, 13),
+    ("nesting", _ARROW + "[" + "(" * 101 + "s1" + ")" * 101 + ", 0]\n",
+     "expression nested more than 100 levels deep", 5, 121),
+    ("expected-symbol", "space demo\nchart x R^1\n", "expected ':'", 2, 9),
+    ("expected-keyword", "space demo\nchart x : S^1\n", "expected 'R'", 2, 11),
+    # end-of-line errors point one past the raw line, comment included
+    ("expected-what-at-end", "space demo\nchart x : R^   # dim\n",
+     "expected a dimension after '^'", 2, 21),
+    ("expected-chart-name", _DEMO + "arrow a : 1 -> x = [s1]\n",
+     "expected a chart name", 5, 11),
+    ("expected-coordinate-index", _FORM1 + "on y : d[s1]\n",
+     "expected a coordinate index", 6, 10),
+    ("expected-bundle-kind", _DEMO + "section t : 1 on demo\n",
+     "expected 'tangent' or 'cotangent'", 5, 13),
+    ("expected-expression-at-end", _ARROW + "[s1, 1 +\n", "expected an expression", 5, 28),
+    ("expected-exponent", _ARROW + "[s1^s1, 0]\n", "expected an integer exponent", 5, 24),
+    ("expected-denominator", _ARROW + "[1/s1, 0]\n",
+     "expected an integer denominator", 5, 23),
+    ("trailing-input", "space demo extra\n", "unexpected trailing input 'extra'", 1, 12),
+    ("trailing-after-form", _FORM1 + "on y : d[1] d[2]\n",
+     "unexpected trailing input 'd'", 6, 13),
+    ("reserved", "space demo\nchart s1 : R^1\n", "'s1' is reserved and cannot name a chart", 2, 7),
+    ("zero-denominator", _ARROW + "[3/00, 0]\n", "zero denominator", 5, 23),
+    ("variable-out-of-range", _ARROW + "[s1, s2]\n",
+     "variable s2 out of range for a 1-dimensional context", 5, 25),
+    ("unexpected-identifier", _ARROW + "[s1, foo]\n", "unexpected identifier 'foo'", 5, 25),
+    ("unexpected-token-in-expression", _ARROW + "[s1, )]\n", "unexpected token ')'", 5, 25),
+    ("unexpected-token-at-head", "space demo\n  = 1\n", "unexpected token '='", 2, 3),
+    ("wedge-index-count", _FORM2 + "on y : d[1]\n",
+     "d[...] lists 1 indices, form has degree 2", 6, 8),
+    ("wedge-index-range", _FORM1 + "on y : s1 d[3]\n", "wedge indices must lie in 1..2", 6, 11),
+    ("wedge-index-order", _FORM2 + "on y : d[2,1]\n",
+     "wedge indices must be strictly increasing", 6, 8),
+    ("needs-d-part", _FORM1 + "on y : d[1] + s2\n", "a degree 1 term needs a d[...] part", 6, 15),
+    ("needs-d-part-after-minus", _FORM1 + "on y : d[1] - s2*s1\n",
+     "a degree 1 term needs a d[...] part", 6, 15),
+    ("unknown-chart-in-space", _FORM1 + "on z : 0\n", "unknown chart 'z' in space 'demo'", 6, 4),
+    ("unknown-chart", _DEMO + "arrow a : x -> z = [s1]\n", "unknown chart 'z'", 5, 16),
+    ("unknown-directive", _DEMO + "char z : R^1\n", "unknown directive 'char'", 5, 1),
+    ("structure-after-forms", _FORM1 + "on x : d[1]\n  chart z : R^1\n",
+     "chart declarations must precede forms and sections", 7, 9),
+    ("wedge-after-section", _SECTION + "wedge  # late\n",
+     "wedge declarations must precede forms and sections", 6, 14),
+    ("duplicate-space", "space demo\nspace other\n", "duplicate space declaration", 2, 7),
+    ("duplicate-chart", _DEMO + "chart x : R^3\n", "duplicate chart 'x'", 5, 7),
+    ("duplicate-arrow", _DEMO + "arrow a : x -> x = [s1]\narrow a : x -> x = [s1]\n",
+     "duplicate arrow 'a'", 6, 7),
+    ("arrow-arity", _ARROW + "[s1]\n",
+     "arrow 'a' into a 2-dimensional chart needs 2 coordinates, got 1", 5, 18),
+    ("duplicate-ambient", _DEMO + "ambient 2\nambient 3\n", "duplicate ambient declaration", 6, 9),
+    ("embed-without-ambient", _DEMO + "embed x = [s1, 0]\n",
+     "embed requires a preceding ambient declaration", 5, 7),
+    ("duplicate-embedding", _DEMO + "ambient 2\nembed x = [s1, 0]\nembed x = [0, s1]\n",
+     "duplicate embedding for chart 'x'", 7, 7),
+    ("embedding-arity", _DEMO + "ambient 2\nembed x = [s1]\n",
+     "embedding into R^2 needs 2 coordinates, got 1", 6, 9),
+    ("no-space-available", "form w : degree 1 on demo\n",
+     "no space is available to resolve 'demo'", 1, 22),
+    ("wrong-space", _DEMO + "form w : degree 1 on other\n",
+     "form or section references space 'other', available space is 'demo'", 5, 22),
+    ("duplicate-form", _FORM1 + "on x : d[1]\nform w : degree 0 on demo\n",
+     "duplicate form 'w'", 7, 6),
+    ("duplicate-section", _SECTION + "section t : cotangent on demo\n",
+     "duplicate section 't'", 6, 9),
+    ("bundle-kind", _DEMO + "section t : normal on demo\n",
+     "expected 'tangent' or 'cotangent', got 'normal'", 5, 13),
+    ("duplicate-component", _FORM1 + "on x : d[1]\non x : 2 d[1]\n",
+     "duplicate component for chart 'x'", 7, 4),
+    ("duplicate-section-data", _SECTION + "on x : [s1]\non x : [1]\n",
+     "duplicate section data for chart 'x'", 7, 4),
+    ("section-data-arity", _SECTION + "on y : [s1]\n",
+     "section data on a 2-dimensional chart needs 2 coefficients, got 1", 6, 6),
+    ("on-outside-block", _DEMO + "on x : [s1]\n", "'on' outside of a form or section block", 5, 4),
+    ("functional-outside-section", _FORM1 + "functional = [1]\n",
+     "'functional' outside of a section block", 6, 12),
+    ("functional-on-tangent", _SECTION + "functional = [1]\n",
+     "'functional' is only meaningful for cotangent sections", 6, 12),
+]
+
+
+class TestErrorTable:
+    @pytest.mark.parametrize(
+        "text, reason, line, col", [case[1:] for case in ERROR_CASES],
+        ids=[case[0] for case in ERROR_CASES],
+    )
+    def test_message_and_position(self, text, reason, line, col):
+        with pytest.raises(ParseError) as err:
+            parse_document(text)
+        assert (err.value.reason, err.value.line, err.value.col) == (reason, line, col)
+
+    @pytest.mark.parametrize(
+        "text, reason, line, col",
+        [
+            ("section t : tangent on wedge_lines\non q : [1]\n",
+             "unknown chart 'q' in space 'wedge_lines'", 2, 4),
+            ("section t : cotangent on wedge_lines\non x1 : [1]\nfunctional = [s1]\n",
+             "variable s1 out of range for a 0-dimensional context", 3, 15),
+        ],
+    )
+    def test_section_file_against_a_given_space(self, text, reason, line, col):
+        with pytest.raises(ParseError) as err:
+            parse_sections(text, WEDGE)
+        assert (err.value.reason, err.value.line, err.value.col) == (reason, line, col)
+
+    def test_missing_space_declaration_position(self):
+        with pytest.raises(ParseError) as err:
+            parse_presentation("chart x : R^1\n")
+        assert (err.value.reason, err.value.line, err.value.col) == (
+            "no space declaration found", 1, 1,
+        )
+
+
+# fuzzing: documents from the grammar's own vocabulary, and single-token
+# mutations of valid documents, must parse or raise ParseError, nothing else
+_VOCABULARY = [
+    "space", "chart", "arrow", "ambient", "embed", "form", "on", "degree", "wedge",
+    "section", "functional", "tangent", "cotangent", "d", "R",
+    "->", "-", "+", "*", "/", "^", "=", ":", ",", "(", ")", "[", "]", "#", "$",
+    "demo", "wedge_lines", "o", "x", "y", "x1", "a", "w", "s1", "s2", "s3", "s01",
+    "0", "1", "2", "3",
+]
+_HEADS = [
+    "", "space demo", "wedge", "chart o : R^0", "chart x : R^1", "chart y : R^2",
+    "arrow a : x -> y = [", "ambient 2", "embed x = [", "form w : degree 1 on demo",
+    "form f : degree 0 on demo", "on x :", "on y : [", "section t : tangent on demo",
+    "section c : cotangent on demo", "functional = [",
+]
+_fuzz_lines = st.builds(
+    lambda head, tail: " ".join([head] + tail),
+    st.sampled_from(_HEADS),
+    st.lists(st.sampled_from(_VOCABULARY), max_size=10),
+)
+_LEXEME = re.compile(r"->|[A-Za-z_]\w*|\d+|\S")
+_SEED_DOCUMENTS = [
+    export_presentation(build_catalog_space(name).presentation) for name in catalog_names()
+] + [
+    readme_blocks("text")[0],
+    export_presentation(WEDGE)
+    + "form v : degree 1 on wedge_lines\non x1 : -d[1] + (1/2 - s1^2) d[1]\n"
+    + "section ell : cotangent on wedge_lines\non x1 : [1 + s1]\non x2 : [2]\n"
+    + "functional = [1, -3/2]\n",
+]
+
+
+@st.composite
+def _mutated_documents(draw):
+    lines = draw(st.sampled_from(_SEED_DOCUMENTS)).splitlines()
+    row = draw(st.integers(0, len(lines) - 1))
+    lexemes = _LEXEME.findall(lines[row])
+    pos = draw(st.integers(0, len(lexemes)))
+    op = draw(st.sampled_from(["insert", "replace", "delete"]))
+    word = draw(st.sampled_from(_VOCABULARY))
+    if op == "insert" or pos == len(lexemes):
+        lexemes.insert(pos, word)
+    elif op == "replace":
+        lexemes[pos] = word
+    else:
+        del lexemes[pos]
+    lines[row] = " ".join(lexemes)
+    return "\n".join(lines)
+
+
+def _parse_or_parse_error(text):
+    for space in (None, WEDGE):
+        try:
+            parse_document(text, space)
+        except ParseError:
+            pass
+
+
+@given(st.lists(_fuzz_lines, max_size=10).map("\n".join))
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_documents_raise_only_parse_errors(text):
+    _parse_or_parse_error(text)
+
+
+@given(_mutated_documents())
+@settings(max_examples=300, deadline=None)
+def test_mutated_documents_raise_only_parse_errors(text):
+    _parse_or_parse_error(text)
