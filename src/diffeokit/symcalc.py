@@ -247,11 +247,6 @@ class Poly:
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.nvars, Fraction(0))
 
-    def linear_coefficient(self, i: int) -> Fraction:
-        """Coefficient of s_i (i in 1..nvars)."""
-        exps = tuple(1 if j == i - 1 else 0 for j in range(self.nvars))
-        return self.terms.get(exps, Fraction(0))
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -385,10 +380,12 @@ def jacobian_at_zero(f: PolyMap) -> RatMat:
     if not f.is_pointed:
         bad = [i + 1 for i, c in enumerate(f.components) if c.constant_term != 0]
         raise ValueError(f"map is not pointed: components {bad} have constant terms")
-    entries = []
-    for c in f.components:
-        entries.extend(c.linear_coefficient(j) for j in range(1, f.source_dim + 1))
-    return RatMat(f.target_dim, f.source_dim, entries)
+    # Poly coefficients are nonzero Fractions, as RatMat stores its entries
+    rows = [
+        {exps.index(1): c for exps, c in comp.terms.items() if sum(exps) == 1}
+        for comp in f.components
+    ]
+    return RatMat._trusted(f.target_dim, f.source_dim, rows)
 
 
 class PolyForm:
@@ -432,11 +429,6 @@ class PolyForm:
         for subset, poly in terms.items():
             coeffs[basis.position(subset)] = coeffs[basis.position(subset)] + poly
         return cls(domain_dim, degree, coeffs)
-
-    @classmethod
-    def coordinate_differential(cls, domain_dim: int, i: int) -> "PolyForm":
-        """The constant 1-form d s_i."""
-        return cls.from_terms(domain_dim, 1, {(i,): Poly.constant(domain_dim, 1)})
 
     def coefficient(self, subset) -> Poly:
         return self.coeffs[index_basis(self.domain_dim, self.degree).position(subset)]

@@ -11,7 +11,7 @@
     on CHART : e d[i1,...,iK] + ...
     section NAME : tangent|cotangent on SPACE
     on CHART : [e1, ..., eN]
-    functional = [c1, ..., cD]  (optional, cotangent sections only)
+    functional = [c1, ..., cD]  (optional, at most one per section, cotangent only)
 
 Expressions use the variables s1..sN of the relevant chart, exact rational
 literals (integers and fractions such as 3/2), +, -, *, parentheses and
@@ -19,23 +19,26 @@ integer powers written e^k.  A slash is only legal between two integer
 literals.  Coefficient expressions bind loosely against d[...]: write
 (1 + s1) d[1], not 1 + s1 d[1], when the whole sum is the coefficient.
 An empty coordinate list in an arrow or embed is shorthand for the zero
-germ out of a zero-dimensional chart.
+germ out of a zero-dimensional chart.  A section takes at most one
+functional line.
 
-Parsing is deterministic and parse -> print -> parse is the identity on
-normal forms.  Errors carry one-based line and column positions.
+Parsing is one pass: each line is scanned once into tokens, and each
+expression is built straight into one term dict.  It is deterministic, and
+parse -> print -> parse is the identity on normal forms.  Errors carry
+one-based line and column positions; a bad character is reported before
+any other error on its line.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import NamedTuple
 
 from .forms import PresentedForm, PresentedSection
 from .linalg import RatMat
 from .presentation import Ambient, Arrow, GermPresentation
-from .symcalc import Poly, PolyForm, PolyMap
+from .symcalc import _ONE, Poly, PolyForm, PolyMap, _accumulate, _product
 from .multilinear import index_basis
 
 __all__ = [
@@ -49,32 +52,25 @@ __all__ = [
 ]
 
 _KEYWORDS = {
-    "space",
-    "chart",
-    "arrow",
-    "ambient",
-    "embed",
-    "form",
-    "on",
-    "degree",
-    "wedge",
-    "section",
-    "functional",
-    "tangent",
-    "cotangent",
-    "d",
-    "R",
+    "space", "chart", "arrow", "ambient", "embed", "form", "on", "degree", "wedge",
+    "section", "functional", "tangent", "cotangent", "d", "R",
 }
 
 _VARIABLE_RE = re.compile(r"s[1-9][0-9]*\Z")
 
+# one scan per line; whitespace matches no group and is skipped, and the
+# catch-all last group gives the position of a bad character
 _TOKEN_RE = re.compile(
-    r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)|(?P<sym>->|[-+*/^=:,()\[\]])"
+    r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)|(?P<sym>->|[-+*/^=:,()\[\]])|(?P<bad>\S)"
 )
 
-# deepest nesting of '(' and unary '-'; at five frames per parenthesis the
+# deepest nesting of '(' and unary '-'; at two frames per parenthesis the
 # parser stays well inside Python's default recursion limit of 1000
 _MAX_NESTING = 100
+_TOO_DEEP = f"expression nested more than {_MAX_NESTING} levels deep"
+
+# statements that build the space, legal only before its first form or section
+_STRUCTURE = {"space", "wedge", "chart", "arrow", "ambient", "embed"}
 
 
 class ParseError(Exception):
@@ -85,30 +81,163 @@ class ParseError(Exception):
         self.col = col
 
 
-class _Token(NamedTuple):
-    kind: str  # "name" | "int" | "sym"
-    text: str
-    line: int
-    col: int
+# A token is a tuple (kind, text, line, col), kind "name", "int", "sym" or
+# "end".  Every line's tokens close with an "end" token one column past the
+# raw line, so no probe runs off the list.  A symbol or keyword is told
+# apart by its text alone: names, integers and symbols share no text.
 
 
-def _tokenize_line(text: str, lineno: int) -> list[_Token]:
-    hash_idx = text.find("#")
-    if hash_idx >= 0:
-        text = text[:hash_idx]
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", lineno, pos + 1)
-        kind = m.lastgroup
-        tokens.append(_Token(kind, m.group(), lineno, pos + 1))
-        pos = m.end()
-    return tokens
+def _error(message: str, tok: tuple) -> ParseError:
+    return ParseError(message, tok[2], tok[3])
+
+
+def _expect(toks: list, i: int, text: str) -> int:
+    if toks[i][1] != text:
+        raise _error(f"expected {text!r}", toks[i])
+    return i + 1
+
+
+def _expect_end(toks: list, i: int) -> None:
+    if toks[i][0] != "end":
+        raise _error(f"unexpected trailing input {toks[i][1]!r}", toks[i])
+
+
+# -- expressions -------------------------------------------------------------
+#
+# An expression parses into one term dict {exponents: Fraction}.  Each parse
+# function takes the token list and an index, and returns the terms and the
+# index after them.  A minus sign travels down as ``negate`` to the factor it
+# applies to, so no sum is negated after it is built.
+
+
+def _expr(toks: list, i: int, nvars: int, depth: int, negate: bool = False) -> tuple[dict, int]:
+    """A sum of products of factors, negated when ``negate`` is set."""
+    total = None
+    sign = negate
+    while True:
+        term, i = _factor(toks, i, nvars, depth, sign)
+        while toks[i][1] == "*":
+            rhs, i = _factor(toks, i + 1, nvars, depth, False)
+            term = _product(term, rhs)
+        total = term if total is None else _accumulate(total, term)
+        op = toks[i][1]
+        if op != "+" and op != "-":
+            return total, i
+        sign = negate != (op == "-")
+        i += 1
+
+
+def _factor(toks: list, i: int, nvars: int, depth: int, negate: bool) -> tuple[dict, int]:
+    """Unary minus signs, then a literal, variable or parenthesis, then '^k'."""
+    tok = toks[i]
+    while tok[1] == "-":
+        depth += 1
+        if depth > _MAX_NESTING:
+            raise _error(_TOO_DEEP, tok)
+        negate = not negate
+        i += 1
+        tok = toks[i]
+    kind, text = tok[0], tok[1]
+    i += 1
+    if kind == "int":
+        value = Fraction(int(text))
+        if toks[i][1] == "/":
+            den = toks[i + 1]
+            if den[0] != "int":
+                raise _error("expected an integer denominator", den)
+            if not int(den[1]):
+                raise _error("zero denominator", den)
+            value = Fraction(int(text), int(den[1]))
+            i += 2
+        terms = {(0,) * nvars: value} if value else {}
+    elif kind == "name":
+        if not _VARIABLE_RE.match(text):
+            raise _error(f"unexpected identifier {text!r}", tok)
+        idx = int(text[1:])
+        if idx > nvars:
+            raise _error(
+                f"variable {text} out of range for a {nvars}-dimensional context", tok
+            )
+        terms = {(0,) * (idx - 1) + (1,) + (0,) * (nvars - idx): _ONE}
+    elif text == "(":
+        if depth + 1 > _MAX_NESTING:
+            raise _error(_TOO_DEEP, tok)
+        terms, i = _expr(toks, i, nvars, depth + 1)
+        i = _expect(toks, i, ")")
+    elif kind == "end":
+        raise _error("expected an expression", tok)
+    else:
+        raise _error(f"unexpected token {text!r}", tok)
+    if toks[i][1] == "^":
+        exponent = toks[i + 1]
+        if exponent[0] != "int":
+            raise _error("expected an integer exponent", exponent)
+        terms = (Poly._trusted(nvars, terms) ** int(exponent[1])).terms
+        i += 2
+    if negate:
+        terms = (-Poly._trusted(nvars, terms)).terms
+    return terms, i
+
+
+def _wedge_indices(toks: list, i: int, degree: int, nvars: int) -> tuple[tuple, int]:
+    """``d[i1,...,ik]`` from the ``d`` at ``toks[i]``."""
+    dtok = toks[i]
+    i = _expect(toks, i + 1, "[")
+    indices = []
+    if toks[i][1] != "]":
+        while True:
+            if toks[i][0] != "int":
+                raise _error("expected a coordinate index", toks[i])
+            indices.append(int(toks[i][1]))
+            if toks[i + 1][1] != ",":
+                break
+            i += 2
+        i += 1
+    i = _expect(toks, i, "]")
+    if len(indices) != degree:
+        raise _error(f"d[...] lists {len(indices)} indices, form has degree {degree}", dtok)
+    if any(not 1 <= k <= nvars for k in indices):
+        raise _error(f"wedge indices must lie in 1..{nvars}", dtok)
+    if any(a >= b for a, b in zip(indices, indices[1:])):
+        raise _error("wedge indices must be strictly increasing", dtok)
+    return tuple(indices), i
+
+
+def _form_expr(toks: list, i: int, degree: int, nvars: int) -> PolyForm:
+    """``e d[...] + ...`` to the end of the line; on degree 0 a plain sum."""
+    coeffs: dict[tuple[int, ...], dict] = {}
+    # a '-' right before d[...] negates that term's unit coefficient; once a
+    # d[...] part closed a term, +/- separate the next term and the sign
+    # folds into its coefficient
+    negate = toks[i][1] == "-" and toks[i + 1][1] == "d"
+    if negate:
+        i += 1
+    while True:
+        start = toks[i]
+        if start[1] == "d":
+            coeff = {(0,) * nvars: -_ONE if negate else _ONE}
+        else:
+            coeff, i = _expr(toks, i, nvars, 0, negate)
+        if toks[i][1] == "d":
+            subset, i = _wedge_indices(toks, i, degree, nvars)
+        elif degree and coeff:
+            raise _error(f"a degree {degree} term needs a d[...] part", start)
+        else:
+            subset = ()
+        if coeff:
+            _accumulate(coeffs.setdefault(subset, {}), coeff)
+        op = toks[i][1]
+        if op != "+" and op != "-":
+            break
+        negate = op == "-"
+        i += 1
+    _expect_end(toks, i)
+    return PolyForm.from_terms(
+        nvars, degree, {k: Poly._trusted(nvars, t) for k, t in coeffs.items()}
+    )
+
+
+# -- documents ---------------------------------------------------------------
 
 
 @dataclass
@@ -118,588 +247,281 @@ class ParsedDocument:
     sections: dict[str, PresentedSection] = field(default_factory=dict)
 
 
-class _LineReader:
-    """Cursor over one line of tokens with positioned errors."""
-
-    def __init__(self, tokens: list[_Token], lineno: int, line_len: int):
-        self.tokens = tokens
-        self.lineno = lineno
-        self.end_col = line_len + 1
-        self.i = 0
-        self.depth = 0
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of line", self.lineno, self.end_col)
-        self.i += 1
-        return tok
-
-    def nest(self, tok: _Token) -> None:
-        """Enter one level of '(' or unary '-' nesting, opened at ``tok``."""
-        self.depth += 1
-        if self.depth > _MAX_NESTING:
-            raise ParseError(
-                f"expression nested more than {_MAX_NESTING} levels deep", tok.line, tok.col
-            )
-
-    def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        if tok is None:
-            return ParseError(message, self.lineno, self.end_col)
-        return ParseError(message, tok.line, tok.col)
-
-    def expect_sym(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok is None or tok.kind != "sym" or tok.text != text:
-            raise self.error(f"expected {text!r}")
-        return self.next()
-
-    def expect_name(self, what: str = "a name") -> _Token:
-        tok = self.peek()
-        if tok is None or tok.kind != "name":
-            raise self.error(f"expected {what}")
-        return self.next()
-
-    def expect_keyword(self, word: str) -> _Token:
-        tok = self.peek()
-        if tok is None or tok.kind != "name" or tok.text != word:
-            raise self.error(f"expected {word!r}")
-        return self.next()
-
-    def expect_int(self, what: str = "an integer") -> int:
-        tok = self.peek()
-        if tok is None or tok.kind != "int":
-            raise self.error(f"expected {what}")
-        self.next()
-        return int(tok.text)
-
-    def expect_end(self) -> None:
-        tok = self.peek()
-        if tok is not None:
-            raise self.error(f"unexpected trailing input {tok.text!r}")
-
-    def at_sym(self, text: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == "sym" and tok.text == text
-
-    def at_name(self, text: str | None = None) -> bool:
-        tok = self.peek()
-        if tok is None or tok.kind != "name":
-            return False
-        return text is None or tok.text == text
-
-
-def _expect_fresh_identifier(reader: _LineReader, what: str) -> str:
-    tok = reader.expect_name(f"{what} name")
-    if tok.text in _KEYWORDS or _VARIABLE_RE.match(tok.text):
-        raise ParseError(
-            f"{tok.text!r} is reserved and cannot name a {what}", tok.line, tok.col
-        )
-    return tok.text
-
-
-# -- expression parsing ------------------------------------------------------
-
-
-def _parse_additive(reader: _LineReader, nvars: int) -> Poly:
-    result = _parse_term(reader, nvars)
-    while True:
-        if reader.at_sym("+"):
-            reader.next()
-            result = result + _parse_term(reader, nvars)
-        elif reader.at_sym("-"):
-            reader.next()
-            result = result - _parse_term(reader, nvars)
-        else:
-            return result
-
-
-def _parse_term(reader: _LineReader, nvars: int) -> Poly:
-    result = _parse_unary(reader, nvars)
-    while reader.at_sym("*"):
-        reader.next()
-        result = result * _parse_unary(reader, nvars)
-    return result
-
-
-def _parse_unary(reader: _LineReader, nvars: int) -> Poly:
-    if reader.at_sym("-"):
-        reader.nest(reader.next())
-        result = -_parse_unary(reader, nvars)
-        reader.depth -= 1
-        return result
-    return _parse_power(reader, nvars)
-
-
-def _parse_power(reader: _LineReader, nvars: int) -> Poly:
-    base = _parse_primary(reader, nvars)
-    if reader.at_sym("^"):
-        reader.next()
-        exponent = reader.expect_int("an integer exponent")
-        return base**exponent
-    return base
-
-
-def _parse_primary(reader: _LineReader, nvars: int) -> Poly:
-    tok = reader.peek()
-    if tok is None:
-        raise reader.error("expected an expression")
-    if tok.kind == "int":
-        reader.next()
-        value = Fraction(int(tok.text))
-        if reader.at_sym("/"):
-            reader.next()
-            dtok = reader.peek()
-            den = reader.expect_int("an integer denominator")
-            if den == 0:
-                raise ParseError("zero denominator", dtok.line, dtok.col)
-            value = Fraction(int(tok.text), den)
-        return Poly.constant(nvars, value)
-    if tok.kind == "name":
-        if _VARIABLE_RE.match(tok.text):
-            idx = int(tok.text[1:])
-            if idx > nvars:
-                raise ParseError(
-                    f"variable {tok.text} out of range for a {nvars}-dimensional context",
-                    tok.line,
-                    tok.col,
-                )
-            reader.next()
-            return Poly.variable(nvars, idx)
-        raise ParseError(f"unexpected identifier {tok.text!r}", tok.line, tok.col)
-    if tok.kind == "sym" and tok.text == "(":
-        reader.nest(reader.next())
-        inner = _parse_additive(reader, nvars)
-        reader.expect_sym(")")
-        reader.depth -= 1
-        return inner
-    raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
-
-
-def _parse_expr_list(reader: _LineReader, nvars: int) -> list[Poly]:
-    reader.expect_sym("[")
-    exprs: list[Poly] = []
-    if reader.at_sym("]"):
-        reader.next()
-        return exprs
-    exprs.append(_parse_additive(reader, nvars))
-    while reader.at_sym(","):
-        reader.next()
-        exprs.append(_parse_additive(reader, nvars))
-    reader.expect_sym("]")
-    return exprs
-
-
-def _parse_wedge_indices(reader: _LineReader, degree: int, nvars: int) -> tuple[int, ...]:
-    dtok = reader.expect_keyword("d")
-    reader.expect_sym("[")
-    indices: list[int] = []
-    if not reader.at_sym("]"):
-        indices.append(reader.expect_int("a coordinate index"))
-        while reader.at_sym(","):
-            reader.next()
-            indices.append(reader.expect_int("a coordinate index"))
-    reader.expect_sym("]")
-    if len(indices) != degree:
-        raise ParseError(
-            f"d[...] lists {len(indices)} indices, form has degree {degree}",
-            dtok.line,
-            dtok.col,
-        )
-    if any(not 1 <= i <= nvars for i in indices):
-        raise ParseError(
-            f"wedge indices must lie in 1..{nvars}", dtok.line, dtok.col
-        )
-    if any(a >= b for a, b in zip(indices, indices[1:])):
-        raise ParseError(
-            "wedge indices must be strictly increasing", dtok.line, dtok.col
-        )
-    return tuple(indices)
-
-
-def _parse_form_expr(reader: _LineReader, degree: int, nvars: int) -> PolyForm:
-    acc: dict[tuple[int, ...], Poly] = {}
-    plain = Poly.zero(nvars)
-
-    def parse_term_into(negate: bool) -> None:
-        nonlocal plain
-        start = reader.peek()
-        if reader.at_name("d"):
-            coeff = Poly.constant(nvars, 1)
-        else:
-            coeff = _parse_additive(reader, nvars)
-        if negate:
-            coeff = -coeff
-        if reader.at_name("d"):
-            subset = _parse_wedge_indices(reader, degree, nvars)
-            acc[subset] = acc.get(subset, Poly.zero(nvars)) + coeff
-        else:
-            if degree > 0 and not coeff.is_zero():
-                where = start if start is not None else reader.peek()
-                raise ParseError(
-                    f"a degree {degree} term needs a d[...] part",
-                    where.line if where else reader.lineno,
-                    where.col if where else reader.end_col,
-                )
-            plain = plain + coeff
-
-    negate_first = False
-    if reader.at_sym("-") and reader.i + 1 < len(reader.tokens) and (
-        reader.tokens[reader.i + 1].kind == "name"
-        and reader.tokens[reader.i + 1].text == "d"
-    ):
-        reader.next()
-        negate_first = True
-    parse_term_into(negate_first)
-    while True:
-        # once a d[...] part closed a term, +/- separate the next term and
-        # the sign folds into its coefficient
-        if reader.at_sym("+"):
-            reader.next()
-            negate = False
-        elif reader.at_sym("-"):
-            reader.next()
-            negate = True
-        else:
-            break
-        parse_term_into(negate)
-    reader.expect_end()
-    if degree == 0:
-        base = PolyForm(nvars, 0, (plain,))
-        for subset, coeff in acc.items():
-            base = base + PolyForm.from_terms(nvars, 0, {subset: coeff})
-        return base
-    return PolyForm.from_terms(nvars, degree, acc)
-
-
-# -- document parsing --------------------------------------------------------
-
-
 class _DocumentParser:
+    """Statements in line order; ``toks`` and ``i`` hold the current line."""
+
     def __init__(self, text: str, external_space: GermPresentation | None):
-        self.lines = text.splitlines()
+        self.text = text
         self.external_space = external_space
-        self.space_name: str | None = None
-        self.space_token: _Token | None = None
+        self.name: str | None = None
         self.wedge = False
-        self.charts: list[tuple[str, int]] = []
-        self.chart_dims: dict[str, int] = {}
-        self.arrows: list[Arrow] = []
-        self.arrow_names: set[str] = set()
+        self.charts: dict[str, int] = {}
+        self.arrows: dict[str, Arrow] = {}
         self.ambient_dim: int | None = None
         self.embeddings: dict[str, PolyMap] = {}
         self.presentation: GermPresentation | None = None
         self.forms: dict[str, PresentedForm] = {}
         self.sections: dict[str, PresentedSection] = {}
-        self.current_form: dict | None = None
-        self.current_section: dict | None = None
+        # the open form or section block and the space its charts come from
+        self.block: PresentedForm | PresentedSection | None = None
+        self.block_space: GermPresentation | None = None
+        self.toks: list[tuple] = []
+        self.i = 0
 
-    # -- helpers ----------------------------------------------------------
+    def run(self) -> ParsedDocument:
+        for lineno, raw in enumerate(self.text.splitlines(), start=1):
+            toks = [
+                (m.lastgroup, m.group(), lineno, m.start() + 1)
+                for m in _TOKEN_RE.finditer(raw.partition("#")[0])
+            ]
+            if not toks:
+                continue
+            for tok in toks:
+                if tok[0] == "bad":
+                    raise _error(f"unexpected character {tok[1]!r}", tok)
+            toks.append(("end", "", lineno, len(raw) + 1))
+            head = toks[0]
+            if head[0] != "name":
+                raise _error(f"unexpected token {head[1]!r}", head)
+            handler = _STATEMENTS.get(head[1])
+            if handler is None:
+                raise _error(f"unknown directive {head[1]!r}", head)
+            self.toks, self.i = toks, 1
+            if head[1] in _STRUCTURE and self.presentation is not None:
+                raise self._error_here(f"{head[1]} declarations must precede forms and sections")
+            handler(self)
+        self._open(None, None)
+        presentation = self._space() if self.name is not None else None
+        return ParsedDocument(presentation, self.forms, self.sections)
 
-    def space(self) -> GermPresentation | None:
-        if self.presentation is not None:
-            return self.presentation
-        if self.space_name is not None:
+    # -- the current line ---------------------------------------------------
+
+    def _error_here(self, message: str) -> ParseError:
+        return _error(message, self.toks[self.i])
+
+    def _want(self, *texts: str) -> tuple:
+        """Take the given symbols or keywords; return the last one's token."""
+        for text in texts:
+            tok = self.toks[self.i]
+            self.i = _expect(self.toks, self.i, text)
+        return tok
+
+    def _take(self, kind: str, what: str) -> tuple:
+        tok = self.toks[self.i]
+        if tok[0] != kind:
+            raise _error(f"expected {what}", tok)
+        self.i += 1
+        return tok
+
+    def _end(self) -> None:
+        _expect_end(self.toks, self.i)
+
+    def _fresh(self, what: str, taken) -> str:
+        """A new name for a ``what``: not reserved and not in ``taken``."""
+        tok = self._take("name", f"{what} name")
+        name = tok[1]
+        if name in _KEYWORDS or _VARIABLE_RE.match(name):
+            raise _error(f"{name!r} is reserved and cannot name a {what}", tok)
+        if name in taken:
+            raise _error(f"duplicate {what} {name!r}", tok)
+        return name
+
+    def _chart(self, space: GermPresentation | None = None) -> tuple[tuple, int]:
+        """A chart of ``space``, or of this document's charts; its token and dimension."""
+        tok = self._take("name", "a chart name")
+        if space is None:
+            if tok[1] not in self.charts:
+                raise _error(f"unknown chart {tok[1]!r}", tok)
+            return tok, self.charts[tok[1]]
+        if not space.has_chart(tok[1]):
+            raise _error(f"unknown chart {tok[1]!r} in space {space.name!r}", tok)
+        return tok, space.chart_dim(tok[1])
+
+    def _exprs(self, nvars: int) -> list[Poly]:
+        """``[e1, ..., em]`` in ``nvars`` variables."""
+        toks = self.toks
+        i = _expect(toks, self.i, "[")
+        exprs = []
+        if toks[i][1] != "]":
+            while True:
+                terms, i = _expr(toks, i, nvars, 0)
+                exprs.append(Poly._trusted(nvars, terms))
+                if toks[i][1] != ",":
+                    break
+                i += 1
+        self.i = _expect(toks, i, "]")
+        return exprs
+
+    def _germ(self, src_dim: int, dst_dim: int, what: str) -> PolyMap:
+        """``= [e1, ..., em]`` to the end of the line, as a map R^src -> R^dst;
+        ``[]`` is the zero germ out of R^0."""
+        eq = self._want("=")
+        exprs = self._exprs(src_dim)
+        self._end()
+        if not exprs and src_dim == 0:
+            return PolyMap.zero_map(0, dst_dim)
+        if len(exprs) != dst_dim:
+            raise _error(f"{what} needs {dst_dim} coordinates, got {len(exprs)}", eq)
+        return PolyMap(src_dim, dst_dim, exprs)
+
+    def _space(self) -> GermPresentation | None:
+        """The space forms and sections refer to; building it ends the
+        structure statements."""
+        if self.name is None:
+            return self.external_space
+        if self.presentation is None:
             ambient = None
             if self.ambient_dim is not None:
-                ambient = Ambient(self.ambient_dim, dict(self.embeddings))
+                ambient = Ambient(self.ambient_dim, self.embeddings)
             self.presentation = GermPresentation(
-                self.space_name,
-                list(self.charts),
-                list(self.arrows),
+                self.name,
+                list(self.charts.items()),
+                list(self.arrows.values()),
                 ambient=ambient,
                 wedge_type=self.wedge,
             )
-            return self.presentation
-        return self.external_space
+        return self.presentation
 
-    def frozen(self) -> bool:
-        return self.presentation is not None
-
-    def require_chart(self, reader: _LineReader, space: GermPresentation | None = None) -> tuple[str, int]:
-        tok = reader.expect_name("a chart name")
-        if space is not None:
-            if not space.has_chart(tok.text):
-                raise ParseError(
-                    f"unknown chart {tok.text!r} in space {space.name!r}",
-                    tok.line,
-                    tok.col,
-                )
-            return tok.text, space.chart_dim(tok.text)
-        if tok.text not in self.chart_dims:
-            raise ParseError(f"unknown chart {tok.text!r}", tok.line, tok.col)
-        return tok.text, self.chart_dims[tok.text]
-
-    # -- statements ---------------------------------------------------------
-
-    def run(self) -> ParsedDocument:
-        for lineno, raw in enumerate(self.lines, start=1):
-            tokens = _tokenize_line(raw, lineno)
-            if not tokens:
-                continue
-            reader = _LineReader(tokens, lineno, len(raw))
-            head = tokens[0]
-            if head.kind != "name":
-                raise ParseError(f"unexpected token {head.text!r}", head.line, head.col)
-            handler = getattr(self, f"_stmt_{head.text}", None)
-            if handler is None:
-                raise ParseError(
-                    f"unknown directive {head.text!r}", head.line, head.col
-                )
-            reader.next()
-            handler(reader)
-        self._finish_form()
-        self._finish_section()
-        presentation = self.space() if self.space_name is not None else None
-        return ParsedDocument(presentation, self.forms, self.sections)
-
-    def _guard_structure(self, tok_reader: _LineReader, what: str) -> None:
-        if self.frozen():
-            raise tok_reader.error(
-                f"{what} declarations must precede forms and sections"
-            )
-
-    def _stmt_space(self, reader: _LineReader) -> None:
-        self._guard_structure(reader, "space")
-        if self.space_name is not None:
-            raise reader.error("duplicate space declaration")
-        self.space_name = _expect_fresh_identifier(reader, "space")
-        reader.expect_end()
-
-    def _stmt_wedge(self, reader: _LineReader) -> None:
-        self._guard_structure(reader, "wedge")
-        self.wedge = True
-        reader.expect_end()
-
-    def _stmt_chart(self, reader: _LineReader) -> None:
-        self._guard_structure(reader, "chart")
-        name_tok = reader.peek()
-        name = _expect_fresh_identifier(reader, "chart")
-        if name in self.chart_dims:
-            raise ParseError(
-                f"duplicate chart {name!r}", name_tok.line, name_tok.col
-            )
-        reader.expect_sym(":")
-        reader.expect_keyword("R")
-        reader.expect_sym("^")
-        dim = reader.expect_int("a dimension after '^'")
-        reader.expect_end()
-        self.charts.append((name, dim))
-        self.chart_dims[name] = dim
-
-    def _stmt_arrow(self, reader: _LineReader) -> None:
-        self._guard_structure(reader, "arrow")
-        name_tok = reader.peek()
-        name = _expect_fresh_identifier(reader, "arrow")
-        if name in self.arrow_names:
-            raise ParseError(
-                f"duplicate arrow {name!r}", name_tok.line, name_tok.col
-            )
-        reader.expect_sym(":")
-        src, src_dim = self.require_chart(reader)
-        reader.expect_sym("->")
-        dst, dst_dim = self.require_chart(reader)
-        eq_tok = reader.peek()
-        reader.expect_sym("=")
-        exprs = _parse_expr_list(reader, src_dim)
-        reader.expect_end()
-        if not exprs and src_dim == 0:
-            germ = PolyMap.zero_map(0, dst_dim)
-        elif len(exprs) == dst_dim:
-            germ = PolyMap(src_dim, dst_dim, exprs)
-        else:
-            raise ParseError(
-                f"arrow {name!r} into a {dst_dim}-dimensional chart needs "
-                f"{dst_dim} coordinates, got {len(exprs)}",
-                eq_tok.line,
-                eq_tok.col,
-            )
-        self.arrows.append(Arrow(name, src, dst, germ))
-        self.arrow_names.add(name)
-
-    def _stmt_ambient(self, reader: _LineReader) -> None:
-        self._guard_structure(reader, "ambient")
-        if self.ambient_dim is not None:
-            raise reader.error("duplicate ambient declaration")
-        self.ambient_dim = reader.expect_int("an ambient dimension")
-        reader.expect_end()
-
-    def _stmt_embed(self, reader: _LineReader) -> None:
-        self._guard_structure(reader, "embed")
-        if self.ambient_dim is None:
-            raise reader.error("embed requires a preceding ambient declaration")
-        chart_tok = reader.peek()
-        chart, chart_dim = self.require_chart(reader)
-        if chart in self.embeddings:
-            raise ParseError(
-                f"duplicate embedding for chart {chart!r}",
-                chart_tok.line,
-                chart_tok.col,
-            )
-        eq_tok = reader.peek()
-        reader.expect_sym("=")
-        exprs = _parse_expr_list(reader, chart_dim)
-        reader.expect_end()
-        if not exprs and chart_dim == 0:
-            emb = PolyMap.zero_map(0, self.ambient_dim)
-        elif len(exprs) == self.ambient_dim:
-            emb = PolyMap(chart_dim, self.ambient_dim, exprs)
-        else:
-            raise ParseError(
-                f"embedding into R^{self.ambient_dim} needs {self.ambient_dim} "
-                f"coordinates, got {len(exprs)}",
-                eq_tok.line,
-                eq_tok.col,
-            )
-        self.embeddings[chart] = emb
-
-    def _expect_space_reference(self, reader: _LineReader) -> GermPresentation:
-        tok = reader.expect_name("a space name")
-        space = self.space()
+    def _space_reference(self) -> GermPresentation:
+        tok = self._take("name", "a space name")
+        space = self._space()
         if space is None:
-            raise ParseError(
-                f"no space is available to resolve {tok.text!r}", tok.line, tok.col
-            )
-        if space.name != tok.text:
-            raise ParseError(
-                f"form or section references space {tok.text!r}, "
+            raise _error(f"no space is available to resolve {tok[1]!r}", tok)
+        if space.name != tok[1]:
+            raise _error(
+                f"form or section references space {tok[1]!r}, "
                 f"available space is {space.name!r}",
-                tok.line,
-                tok.col,
+                tok,
             )
         return space
 
-    def _stmt_form(self, reader: _LineReader) -> None:
-        self._finish_form()
-        self._finish_section()
-        name_tok = reader.peek()
-        name = _expect_fresh_identifier(reader, "form")
-        if name in self.forms:
-            raise ParseError(f"duplicate form {name!r}", name_tok.line, name_tok.col)
-        reader.expect_sym(":")
-        reader.expect_keyword("degree")
-        degree = reader.expect_int("a degree")
-        reader.expect_keyword("on")
-        space = self._expect_space_reference(reader)
-        reader.expect_end()
-        self.current_form = {
-            "name": name,
-            "degree": degree,
-            "space": space,
-            "chart_forms": {},
-        }
+    def _open(self, block, space: GermPresentation | None) -> None:
+        """Close the open block, if any, and make ``block`` the open one.
+        A closed form gets the zero component on every chart it left out."""
+        if isinstance(self.block, PresentedForm):
+            for cid, dim in self.block_space.charts:
+                if cid not in self.block.chart_forms:
+                    self.block.chart_forms[cid] = PolyForm.zero(dim, self.block.degree)
+        self.block, self.block_space = block, space
 
-    def _stmt_section(self, reader: _LineReader) -> None:
-        self._finish_form()
-        self._finish_section()
-        name_tok = reader.peek()
-        name = _expect_fresh_identifier(reader, "section")
-        if name in self.sections:
-            raise ParseError(
-                f"duplicate section {name!r}", name_tok.line, name_tok.col
+    # -- statements ---------------------------------------------------------
+
+    def _stmt_space(self) -> None:
+        if self.name is not None:
+            raise self._error_here("duplicate space declaration")
+        self.name = self._fresh("space", ())
+        self._end()
+
+    def _stmt_wedge(self) -> None:
+        self._end()
+        self.wedge = True
+
+    def _stmt_chart(self) -> None:
+        name = self._fresh("chart", self.charts)
+        self._want(":", "R", "^")
+        dim = int(self._take("int", "a dimension after '^'")[1])
+        self._end()
+        self.charts[name] = dim
+
+    def _stmt_arrow(self) -> None:
+        name = self._fresh("arrow", self.arrows)
+        self._want(":")
+        src, src_dim = self._chart()
+        self._want("->")
+        dst, dst_dim = self._chart()
+        germ = self._germ(src_dim, dst_dim, f"arrow {name!r} into a {dst_dim}-dimensional chart")
+        self.arrows[name] = Arrow(name, src[1], dst[1], germ)
+
+    def _stmt_ambient(self) -> None:
+        if self.ambient_dim is not None:
+            raise self._error_here("duplicate ambient declaration")
+        dim = int(self._take("int", "an ambient dimension")[1])
+        self._end()
+        self.ambient_dim = dim
+
+    def _stmt_embed(self) -> None:
+        n = self.ambient_dim
+        if n is None:
+            raise self._error_here("embed requires a preceding ambient declaration")
+        tok, dim = self._chart()
+        if tok[1] in self.embeddings:
+            raise _error(f"duplicate embedding for chart {tok[1]!r}", tok)
+        self.embeddings[tok[1]] = self._germ(dim, n, f"embedding into R^{n}")
+
+    def _stmt_form(self) -> None:
+        name = self._fresh("form", self.forms)
+        self._want(":", "degree")
+        degree = int(self._take("int", "a degree")[1])
+        self._want("on")
+        space = self._space_reference()
+        self._end()
+        self.forms[name] = PresentedForm(degree, {}, name=name)
+        self._open(self.forms[name], space)
+
+    def _stmt_section(self) -> None:
+        name = self._fresh("section", self.sections)
+        self._want(":")
+        bundle = self._take("name", "'tangent' or 'cotangent'")
+        if bundle[1] not in ("tangent", "cotangent"):
+            raise _error(f"expected 'tangent' or 'cotangent', got {bundle[1]!r}", bundle)
+        self._want("on")
+        space = self._space_reference()
+        self._end()
+        self.sections[name] = PresentedSection(bundle[1], {}, None, name, space.name)
+        self._open(self.sections[name], space)
+
+    def _stmt_on(self) -> None:
+        block = self.block
+        if block is None:
+            raise self._error_here("'on' outside of a form or section block")
+        tok, dim = self._chart(self.block_space)
+        chart = tok[1]
+        if isinstance(block, PresentedForm):
+            if chart in block.chart_forms:
+                raise _error(f"duplicate component for chart {chart!r}", tok)
+            self._want(":")
+            block.chart_forms[chart] = _form_expr(self.toks, self.i, block.degree, dim)
+            return
+        if chart in block.chart_data:
+            raise _error(f"duplicate section data for chart {chart!r}", tok)
+        colon = self._want(":")
+        exprs = self._exprs(dim)
+        self._end()
+        if len(exprs) != dim:
+            raise _error(
+                f"section data on a {dim}-dimensional chart needs "
+                f"{dim} coefficients, got {len(exprs)}",
+                colon,
             )
-        reader.expect_sym(":")
-        kind_tok = reader.expect_name("'tangent' or 'cotangent'")
-        if kind_tok.text not in ("tangent", "cotangent"):
-            raise ParseError(
-                f"expected 'tangent' or 'cotangent', got {kind_tok.text!r}",
-                kind_tok.line,
-                kind_tok.col,
-            )
-        reader.expect_keyword("on")
-        space = self._expect_space_reference(reader)
-        reader.expect_end()
-        self.current_section = {
-            "name": name,
-            "bundle": kind_tok.text,
-            "space": space,
-            "chart_data": {},
-            "functional": None,
-        }
+        block.chart_data[chart] = PolyMap(dim, dim, exprs)
 
-    def _stmt_on(self, reader: _LineReader) -> None:
-        if self.current_form is not None:
-            ctx = self.current_form
-            chart_tok = reader.peek()
-            chart, chart_dim = self.require_chart(reader, ctx["space"])
-            if chart in ctx["chart_forms"]:
-                raise ParseError(
-                    f"duplicate component for chart {chart!r}",
-                    chart_tok.line,
-                    chart_tok.col,
-                )
-            reader.expect_sym(":")
-            ctx["chart_forms"][chart] = _parse_form_expr(
-                reader, ctx["degree"], chart_dim
-            )
-            return
-        if self.current_section is not None:
-            ctx = self.current_section
-            chart_tok = reader.peek()
-            chart, chart_dim = self.require_chart(reader, ctx["space"])
-            if chart in ctx["chart_data"]:
-                raise ParseError(
-                    f"duplicate section data for chart {chart!r}",
-                    chart_tok.line,
-                    chart_tok.col,
-                )
-            colon_tok = reader.peek()
-            reader.expect_sym(":")
-            exprs = _parse_expr_list(reader, chart_dim)
-            reader.expect_end()
-            if len(exprs) != chart_dim:
-                raise ParseError(
-                    f"section data on a {chart_dim}-dimensional chart needs "
-                    f"{chart_dim} coefficients, got {len(exprs)}",
-                    colon_tok.line,
-                    colon_tok.col,
-                )
-            ctx["chart_data"][chart] = PolyMap(chart_dim, chart_dim, exprs)
-            return
-        raise reader.error("'on' outside of a form or section block")
+    def _stmt_functional(self) -> None:
+        block = self.block
+        if not isinstance(block, PresentedSection):
+            raise self._error_here("'functional' outside of a section block")
+        if block.bundle != "cotangent":
+            raise self._error_here("'functional' is only meaningful for cotangent sections")
+        if block.point_functional is not None:
+            raise _error(f"duplicate functional for section {block.name!r}", self.toks[0])
+        self._want("=")
+        exprs = self._exprs(0)
+        self._end()
+        functional = RatMat.row([e.constant_term for e in exprs])
+        self.block = self.sections[block.name] = replace(block, point_functional=functional)
 
-    def _stmt_functional(self, reader: _LineReader) -> None:
-        if self.current_section is None:
-            raise reader.error("'functional' outside of a section block")
-        if self.current_section["bundle"] != "cotangent":
-            raise reader.error("'functional' is only meaningful for cotangent sections")
-        reader.expect_sym("=")
-        exprs = _parse_expr_list(reader, 0)
-        reader.expect_end()
-        self.current_section["functional"] = RatMat.row(
-            [e.constant_term for e in exprs]
-        )
 
-    def _finish_form(self) -> None:
-        if self.current_form is None:
-            return
-        ctx = self.current_form
-        space: GermPresentation = ctx["space"]
-        chart_forms = dict(ctx["chart_forms"])
-        for cid, dim in space.charts:
-            if cid not in chart_forms:
-                chart_forms[cid] = PolyForm.zero(dim, ctx["degree"])
-        self.forms[ctx["name"]] = PresentedForm(
-            ctx["degree"], chart_forms, name=ctx["name"]
-        )
-        self.current_form = None
-
-    def _finish_section(self) -> None:
-        if self.current_section is None:
-            return
-        ctx = self.current_section
-        self.sections[ctx["name"]] = PresentedSection(
-            bundle=ctx["bundle"],
-            chart_data=dict(ctx["chart_data"]),
-            point_functional=ctx["functional"],
-            name=ctx["name"],
-            space=ctx["space"].name,
-        )
-        self.current_section = None
+_STATEMENTS = {
+    "space": _DocumentParser._stmt_space,
+    "wedge": _DocumentParser._stmt_wedge,
+    "chart": _DocumentParser._stmt_chart,
+    "arrow": _DocumentParser._stmt_arrow,
+    "ambient": _DocumentParser._stmt_ambient,
+    "embed": _DocumentParser._stmt_embed,
+    "form": _DocumentParser._stmt_form,
+    "section": _DocumentParser._stmt_section,
+    "on": _DocumentParser._stmt_on,
+    "functional": _DocumentParser._stmt_functional,
+}
 
 
 def parse_document(

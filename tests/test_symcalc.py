@@ -395,3 +395,17 @@ def test_substitution_and_composition_match_validating_reference(a, b, c, data):
         assert_same(p.substitute(g.components, c), q)
     for p in composite.components:
         assert_canonical(p, c)
+
+
+@given(st.integers(0, 3), st.integers(0, 3), st.data())
+@settings(max_examples=150)
+def test_jacobian_matches_derivatives_at_zero(a, b, data):
+    comps = [data.draw(polys(a)) for _ in range(b)]
+    f = PolyMap(a, b, [p - Poly.constant(a, p.constant_term) for p in comps])
+    jac = jacobian_at_zero(f)
+    assert (jac.rows, jac.cols) == (b, a)
+    for i in range(b):
+        for j in range(a):
+            assert jac[i, j] == f.components[i].derivative(j + 1).constant_term
+    for row in jac.row_dicts:
+        assert all(x != 0 and type(x) is Fraction for x in row.values())

@@ -199,6 +199,17 @@ class TestSections:
         with pytest.raises(ParseError):
             parse_sections("section a : tangent on other\n", WEDGE)
 
+    def test_repeated_functional_rejected(self):
+        text = (
+            "section ell : cotangent on wedge_lines\non x1 : [1]\n"
+            "functional = [1, 0]\n  functional = [5, 7]\n"
+        )
+        with pytest.raises(ParseError) as err:
+            parse_sections(text, WEDGE)
+        assert (err.value.reason, err.value.line, err.value.col) == (
+            "duplicate functional for section 'ell'", 4, 3,
+        )
+
     def test_functional_outside_cotangent_rejected(self):
         text = "section a : tangent on wedge_lines\nfunctional = [1]\n"
         with pytest.raises(ParseError):
