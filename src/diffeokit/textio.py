@@ -106,8 +106,8 @@ def _expect_end(toks: list, i: int) -> None:
 #
 # An expression parses into one term dict {exponents: Fraction}.  Each parse
 # function takes the token list and an index, and returns the terms and the
-# index after them.  A minus sign travels down as ``negate`` to the factor it
-# applies to, so no sum is negated after it is built.
+# index after them.  The sign of a term travels down as ``negate`` to its
+# first factor, so a sum is not negated term by term after it is built.
 
 
 def _expr(toks: list, i: int, nvars: int, depth: int, negate: bool = False) -> tuple[dict, int]:
