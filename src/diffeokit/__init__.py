@@ -47,6 +47,7 @@ from .forms import (
     check_form_compatibility,
     check_on_top_charts,
     check_section,
+    check_sections,
     form_at_point,
     reachable_fibre_dim,
     restrict_ambient_form,

@@ -22,13 +22,7 @@ import functools
 import json
 import sys
 from .catalog import build_catalog_space, catalog_names
-from .forms import (
-    IncompatibleFormError,
-    _check_section,
-    _section_colimit,
-    check_form_compatibility,
-    form_at_point,
-)
+from .forms import IncompatibleFormError, check_form_compatibility, check_sections, form_at_point
 from .presentation import filteredness
 from .tangent import apply_fibre_functor, rho_map, vect_colimit
 from .textio import (
@@ -200,12 +194,11 @@ def _cmd_sections(args):
         sections = parse_sections(fh.read(), p)
     if not sections:
         raise ValueError(f"no sections found in {args.data!r}")
-    tangent = _section_colimit(p)
+    reports = check_sections(p, list(sections.values()))
     entries = []
     lines = []
     negative = False
-    for name, section in sections.items():
-        report = _check_section(p, section, tangent)
+    for name, report in zip(sections, reports):
         entry = {
             "name": name,
             "bundle": report.bundle,

@@ -23,7 +23,7 @@ from .symcalc import (
     jacobian_at_zero,
     pullback_form,
 )
-from .tangent import ColimitResult, _fibre_diagram, _pushforward, rho_map, vect_colimit
+from .tangent import ColimitResult, _pushforward, _tangent_diagram, rho_map, vect_colimit
 from .multilinear import exterior_power_map
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "rho_dual",
     "reachable_fibre_dim",
     "check_section",
+    "check_sections",
 ]
 
 
@@ -158,7 +159,7 @@ def form_at_point(p: GermPresentation, w: PresentedForm) -> PointForm:
     trusted."""
     require_valid(p)
     _require_compatible(p, w)
-    return _point_value(p, w, vect_colimit(_fibre_diagram(p, w.degree)))
+    return _point_value(p, w, vect_colimit(_tangent_diagram(p).wedge(w.degree)))
 
 
 def _require_compatible(p: GermPresentation, w: PresentedForm) -> None:
@@ -214,7 +215,7 @@ def tilde_form_at_point(p: GermPresentation, w_amb: PolyForm) -> RatMat:
     functional on the wedge of the tangent colimit."""
     _require_ambient(p, w_amb)
     # the map from the tangent fibre colimit into the ambient tangent space
-    tangent = vect_colimit(_fibre_diagram(p, 1))
+    tangent = vect_colimit(_tangent_diagram(p))
     blocks = [jacobian_at_zero(p.ambient.embeddings[cid]) for cid, _ in p.charts]
     push = tangent.descend(blocks, p.ambient.dim, "the ambient Jacobians")
     return form_value_at_zero(w_amb) @ exterior_power_map(push, w_amb.degree)
@@ -273,7 +274,7 @@ def reachable_fibre_dim(p: GermPresentation, forms: list[PresentedForm]) -> int:
         except IncompatibleFormError as exc:
             label = w.name or f"#{idx}"
             raise ValueError(f"family member {label} is incompatible: {exc}") from exc
-    colim = vect_colimit(_fibre_diagram(p, forms[0].degree))
+    colim = vect_colimit(_tangent_diagram(p).wedge(forms[0].degree))
     return RatMat.vstack([_point_value(p, w, colim).coords for w in forms]).rank()
 
 
@@ -327,21 +328,27 @@ def check_section(p: GermPresentation, s: PresentedSection) -> SectionReport:
     point must agree as a single vector of the tangent colimit; with a
     zero-dimensional chart present this pins the common value to zero and
     forces the vanishing of every component whose cocone image is
-    independent.  Cotangent case: a single functional on the tangent
-    colimit must restrict to every chart's value, decided by an exact
-    linear solve.  Only wedge-type presentations are accepted; elsewhere
-    the smoothness criterion encoded here is not justified."""
-    return _check_section(p, s, _section_colimit(p))
+    independent.  Cotangent case: the chart values form a functional on
+    the direct sum, and the section is smooth exactly when it factors
+    through the tangent colimit; the factorization is the one functional
+    on the tangent fibre that restricts to every chart value.  Only
+    wedge-type presentations are accepted; elsewhere the smoothness
+    criterion encoded here is not justified."""
+    return check_sections(p, [s])[0]
 
 
-def _section_colimit(p: GermPresentation) -> ColimitResult:
-    """Validate a wedge-type presentation and build its tangent colimit."""
+def check_sections(
+    p: GermPresentation, sections: list[PresentedSection]
+) -> list[SectionReport]:
+    """``check_section`` for each of ``sections``, with one validation and
+    one tangent colimit for them all."""
     require_valid(p)
     if not p.wedge_type:
         raise ValueError(
             f"presentation {p.name!r} is not wedge-type; section checking is undefined"
         )
-    return vect_colimit(_fibre_diagram(p, 1))
+    tangent = vect_colimit(_tangent_diagram(p))
+    return [_check_section(p, s, tangent) for s in sections]
 
 
 def _check_section(
@@ -353,54 +360,34 @@ def _check_section(
     values = _section_values_at_zero(p, s)
 
     if s.bundle == "tangent":
-        images = {}
-        for cid, _ in p.charts:
-            idx = p.chart_index(cid)
-            images[cid] = tangent.cocones[idx] @ RatMat.column(values[cid])
-        chart_ids = p.chart_ids
-        valid = all(
-            images[chart_ids[0]] == images[cid] for cid in chart_ids[1:]
-        )
+        images = [
+            cocone @ RatMat.column(values[cid])
+            for cocone, (cid, _) in zip(tangent.cocones, p.charts)
+        ]
+        valid = all(image == images[0] for image in images)
         constraints = []
-        has_point_chart = any(dim == 0 for _, dim in p.charts)
-        if has_point_chart:
-            for cid, dim in p.charts:
-                if dim == 0:
-                    continue
-                cocone = tangent.cocones[p.chart_index(cid)]
+        if any(dim == 0 for _, dim in p.charts):
+            for cocone, (cid, dim) in zip(tangent.cocones, p.charts):
                 ker = kernel_basis(cocone)
-                for comp in range(dim):
-                    if all(ker[comp, c] == 0 for c in range(ker.cols)):
-                        constraints.append(
-                            f"component {comp + 1} of chart {cid!r} must vanish "
-                            f"at the marked point"
-                        )
+                constraints += [
+                    f"component {comp + 1} of chart {cid!r} must vanish at the marked point"
+                    for comp in range(dim)
+                    if not ker.row_dicts[comp]
+                ]
         else:
             constraints.append("all chart values must share one colimit image")
         return SectionReport(valid, "tangent", constraints)
 
-    # cotangent: find one functional restricting to every chart value
-    rows = []
-    rhs = []
-    for cid, _ in p.charts:
-        cocone = tangent.cocones[p.chart_index(cid)]
-        rows.append(cocone.transpose())
-        rhs.append(RatMat.column(values[cid]))
-    system = RatMat.vstack(rows, cols=tangent.dim)
-    target = RatMat.vstack(rhs, cols=1)
     constraints = [
         f"functional l on the {tangent.dim}-dimensional tangent fibre with "
         f"l . cocone = chart value at the marked point, for every chart"
     ]
-    if s.point_functional is not None:
-        ell = s.point_functional
-        if ell.rows != 1 or ell.cols != tangent.dim:
-            raise ValueError(
-                f"prescribed functional must be 1x{tangent.dim}, got {ell.rows}x{ell.cols}"
-            )
-        ok = system @ ell.transpose() == target
-        return SectionReport(ok, "cotangent", constraints, ell if ok else None)
-    solution = solve_exact(system, target)
-    if solution is None:
-        return SectionReport(False, "cotangent", constraints, None)
-    return SectionReport(True, "cotangent", constraints, solution.transpose())
+    ell = s.point_functional
+    if ell is not None and (ell.rows != 1 or ell.cols != tangent.dim):
+        raise ValueError(
+            f"prescribed functional must be 1x{tangent.dim}, got {ell.rows}x{ell.cols}"
+        )
+    functional = tangent.factor([RatMat.row(values[cid]) for cid, _ in p.charts], 1)
+    if ell is not None and functional != ell:
+        functional = None
+    return SectionReport(functional is not None, "cotangent", constraints, functional)

@@ -1,12 +1,13 @@
 """Fibre functors and their colimits: the engine behind every dimension count.
 
 A presentation is turned into a diagram of finite-dimensional vector
-spaces by applying, chart by chart, the degree-k wedge of the tangent
-space at the marked point; arrows become exterior powers of Jacobians.
+spaces by taking, chart by chart, the tangent space at the marked point,
+with each arrow's Jacobian taken once; the degree-k diagram is the wedge
+of that one, with arrows the exterior powers of the Jacobians.
 Colimits of such diagrams are computed as quotients of the direct sum by
 the per-arrow relations, limits as kernels of the difference map.  A map
 on the direct sum that kills the relations factors through the colimit;
-``ColimitResult.descend`` is the one place that checks and does this.
+``ColimitResult.factor`` is the one place that checks and does this.
 
 The colimit basis is the complement of the relation span in direct-sum
 coordinates, deterministic from pivot order, so cocone matrices are
@@ -57,6 +58,14 @@ class VectDiagram:
                     f"expected {self.objects[dst]}x{self.objects[src]}"
                 )
 
+    def wedge(self, k: int) -> "VectDiagram":
+        """The degree-k exterior power, object by object and arrow by arrow."""
+        _require_degree(k)
+        return VectDiagram(
+            [comb(dim, k) for dim in self.objects],
+            [(src, dst, exterior_power_map(mat, k)) for src, dst, mat in self.arrows],
+        )
+
 
 def _require_degree(k: int) -> None:
     if k < 0:
@@ -73,19 +82,18 @@ def apply_fibre_functor(p: GermPresentation, k: int) -> VectDiagram:
     """
     _require_degree(k)
     require_valid(p)
-    return _fibre_diagram(p, k)
+    return _tangent_diagram(p).wedge(k)
 
 
-def _fibre_diagram(p: GermPresentation, k: int) -> VectDiagram:
-    """``apply_fibre_functor`` for a presentation that is already validated."""
-    _require_degree(k)
-    objects = [comb(dim, k) for _, dim in p.charts]
-    arrows = []
-    for a in p.arrows:
-        mat = exterior_power_map(jacobian_at_zero(a.germ), k)
-        arrows.append((p.chart_index(a.src), p.chart_index(a.dst), mat))
+def _tangent_diagram(p: GermPresentation) -> VectDiagram:
+    """The degree-1 diagram of a validated presentation: chart dimensions,
+    and each arrow's Jacobian taken once."""
     # shapes hold by validation; vect_colimit checks them again before use
-    return VectDiagram(objects, arrows)
+    index = p.chart_index
+    return VectDiagram(
+        [dim for _, dim in p.charts],
+        [(index(a.src), index(a.dst), jacobian_at_zero(a.germ)) for a in p.arrows],
+    )
 
 
 @dataclass
@@ -109,20 +117,29 @@ class ColimitResult:
     def section(self) -> RatMat:
         return self.relations.section
 
-    def descend(self, blocks: list[RatMat], rows: int, what: str) -> RatMat:
+    def factor(self, blocks: list[RatMat], rows: int) -> RatMat | None:
         """Factor a map on the direct sum, given by one block per object,
-        through the colimit.
+        through the colimit; None when it does not annihilate the relations.
 
-        Well-definedness (the relation span is annihilated) is always checked
-        rather than assumed; a failure here means an internal inconsistency in
-        Jacobians or sign conventions and is surfaced loudly.
+        The factorization is unique, because the cocones are jointly
+        surjective.
         """
         assembled = RatMat.hstack(blocks, rows=rows)
-        if not (assembled @ self.relations.relation_basis).is_zero():
-            raise AssertionError(
-                f"{what} does not annihilate the relation space"
-            )
-        return self.relations.free_columns(assembled)
+        if (assembled @ self.relations.relation_basis).is_zero():
+            return self.relations.free_columns(assembled)
+        return None
+
+    def descend(self, blocks: list[RatMat], rows: int, what: str) -> RatMat:
+        """``factor``, for a map that must factor.
+
+        Well-definedness is always checked rather than assumed; a failure
+        here means an internal inconsistency in Jacobians or sign
+        conventions and is surfaced loudly.
+        """
+        factored = self.factor(blocks, rows)
+        if factored is None:
+            raise AssertionError(f"{what} does not annihilate the relation space")
+        return factored
 
 
 def _decrement(row: dict[int, Fraction], c: int) -> None:
@@ -190,10 +207,11 @@ def vect_limit(d: VectDiagram) -> LimitResult:
 
 
 def _colimits(p: GermPresentation, k: int) -> tuple[ColimitResult, ColimitResult]:
-    """Fibre colimits of a validated presentation in degrees 1 and k, each
-    built once."""
-    tangent = vect_colimit(_fibre_diagram(p, 1))
-    return tangent, tangent if k == 1 else vect_colimit(_fibre_diagram(p, k))
+    """Fibre colimits of a validated presentation in degrees 1 and k, from
+    one degree-1 diagram, each built once."""
+    diagram = _tangent_diagram(p)
+    tangent = vect_colimit(diagram)
+    return tangent, tangent if k == 1 else vect_colimit(diagram.wedge(k))
 
 
 def _rho(tangent: ColimitResult, ck: ColimitResult, k: int) -> RatMat:
@@ -227,12 +245,14 @@ def _pushforward(m: PresentedMap, k: int) -> tuple[RatMat, RatMat, RatMat]:
     src_tangent, src_ck = _colimits(source, k)
     dst_tangent, dst_ck = _colimits(target, k)
 
+    assigned = [m.assignments[cid] for cid, _ in source.charts]
+    jacobians = [jacobian_at_zero(germ) for _, germ in assigned]
+
     def induced(src_colim: ColimitResult, dst_colim: ColimitResult, degree: int) -> RatMat:
-        blocks = []
-        for cid, _ in source.charts:
-            tchart, germ = m.assignments[cid]
-            wedge_jac = exterior_power_map(jacobian_at_zero(germ), degree)
-            blocks.append(dst_colim.cocones[target.chart_index(tchart)] @ wedge_jac)
+        blocks = [
+            dst_colim.cocones[target.chart_index(tchart)] @ exterior_power_map(jac, degree)
+            for (tchart, _), jac in zip(assigned, jacobians)
+        ]
         return src_colim.descend(blocks, dst_colim.dim, "the induced fibre map")
 
     fibre_push = induced(src_ck, dst_ck, k)

@@ -16,8 +16,11 @@
 Expressions use the variables s1..sN of the relevant chart, exact rational
 literals (integers and fractions such as 3/2), +, -, *, parentheses and
 integer powers written e^k.  A slash is only legal between two integer
-literals.  Coefficient expressions bind loosely against d[...]: write
-(1 + s1) d[1], not 1 + s1 d[1], when the whole sum is the coefficient.
+literals.  In a form line a term's coefficient is everything since the
+previous term, so 1 + s1 d[1] reads as (1 + s1) d[1], and a second term
+needs its own d[...], as in s1 d[1] + 2 d[2].  A '-' between terms
+negates the whole next coefficient: s1 d[1] - 2 + s2 d[2] reads as
+s1 d[1] - (2 + s2) d[2].
 An empty coordinate list in an arrow or embed is shorthand for the zero
 germ out of a zero-dimensional chart.  A section takes at most one
 functional line.
@@ -321,7 +324,8 @@ class _DocumentParser:
         tok = self._take("name", f"{what} name")
         name = tok[1]
         if name in _KEYWORDS or _VARIABLE_RE.match(name):
-            raise _error(f"{name!r} is reserved and cannot name a {what}", tok)
+            article = "an" if what[0] in "aeiou" else "a"
+            raise _error(f"{name!r} is reserved and cannot name {article} {what}", tok)
         if name in taken:
             raise _error(f"duplicate {what} {name!r}", tok)
         return name

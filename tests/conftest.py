@@ -9,13 +9,14 @@ _COUNTED = [
     ("diffeokit.tangent", "vect_colimit"),
     ("diffeokit.presentation", "validate_presentation"),
     ("diffeokit.symcalc", "compose_maps"),
+    ("diffeokit.symcalc", "jacobian_at_zero"),
 ]
 
 
 @pytest.fixture
 def call_counts(monkeypatch):
-    """Counter of calls to ``vect_colimit``, ``validate_presentation`` and
-    ``compose_maps``.
+    """Counter of calls to ``vect_colimit``, ``validate_presentation``,
+    ``compose_maps`` and ``jacobian_at_zero``.
 
     Each function is replaced at every ``diffeokit`` module that binds it, so
     calls through ``from .x import y`` are counted too.  Clear the counter

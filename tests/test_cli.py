@@ -135,7 +135,9 @@ class TestFormCommands:
         path.write_text(WEDGE_FORM_FILE)
         code, payload, _ = run_json(capsys, ["eval-form", str(path), "--form", "basis_x"])
         assert code == 0
-        assert call_counts == {"vect_colimit": 1, "validate_presentation": 1}
+        assert call_counts == {
+            "vect_colimit": 1, "validate_presentation": 1, "jacobian_at_zero": 2
+        }
 
     def test_eval_form_on_z2_volume(self, capsys, tmp_path):
         path = tmp_path / "z2.dk"

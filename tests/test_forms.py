@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffeokit.catalog import ambient_inclusion
 from diffeokit.forms import (
@@ -20,6 +22,7 @@ from diffeokit.forms import (
     vanishes_at_point,
 )
 from diffeokit.linalg import RatMat, solve_exact
+from diffeokit.presentation import Arrow, GermPresentation
 from diffeokit.symcalc import Poly, PolyForm, PolyMap, form_value_at_zero, pullback_form
 from diffeokit.tangent import apply_fibre_functor, pushforward_map, rho_map, vect_colimit
 from util_rand import rand_poly
@@ -330,7 +333,9 @@ class TestReachableFibre:
         doubled = PresentedForm(2, {"c": dform(2, 1, 2).scale(2)}, name="2vol")
         call_counts.clear()
         reachable_fibre_dim(p, [z2_volume, doubled, z2_volume])
-        assert call_counts == {"vect_colimit": 1, "validate_presentation": 1}
+        assert call_counts == {
+            "vect_colimit": 1, "validate_presentation": 1, "jacobian_at_zero": 1
+        }
 
 
 class TestNaturality:
@@ -469,3 +474,82 @@ class TestSections:
             cot = check_section(p, self.make_cotangent(f, g))
             assert cot.valid
             assert cot.functional == RatMat.row([f.constant_term, g.constant_term])
+
+
+_SMALL = st.sampled_from([Fraction(v) for v in (0, 0, 1, -1, 2, "1/2", "-3/2")])
+
+
+@st.composite
+def cotangent_cases(draw):
+    """A wedge-type presentation (a point chart and 1-3 legs of dimension
+    1-2, plus up to three linear self-germs on the legs, which may collapse
+    directions) and a cotangent section on it.  Its chart values come from
+    a functional on the tangent colimit, sometimes with one entry moved;
+    the prescribed functional is absent, that functional, a random row or
+    of the wrong shape."""
+    dims = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    legs = [(f"x{i}", d) for i, d in enumerate(dims, 1)]
+    arrows = [Arrow(f"z{cid}", "o", cid, PolyMap.zero_map(0, d)) for cid, d in legs]
+    for n in range(draw(st.integers(0, 3))):
+        cid, d = draw(st.sampled_from(legs))
+        rows = [draw(st.lists(_SMALL, min_size=d, max_size=d)) for _ in range(d)]
+        comps = [sum((s(d, j + 1) * c for j, c in enumerate(row)), Poly.zero(d)) for row in rows]
+        arrows.append(Arrow(f"g{n}", cid, cid, PolyMap(d, d, comps)))
+    p = GermPresentation("drawn_wedge", [("o", 0)] + legs, arrows, wedge_type=True)
+
+    tangent = vect_colimit(apply_fibre_functor(p, 1))
+    ell = RatMat.row(draw(st.lists(_SMALL, min_size=tangent.dim, max_size=tangent.dim)))
+    values = [(ell @ cocone).row_list(0) for cocone in tangent.cocones[1:]]
+    if draw(st.booleans()):
+        leg = draw(st.integers(0, len(legs) - 1))
+        values[leg][draw(st.integers(0, dims[leg] - 1))] += draw(_SMALL)
+    data = {
+        cid: PolyMap(d, d, [Poly.constant(d, v) + s(d, 1) * draw(_SMALL) for v in vals])
+        for (cid, d), vals in zip(legs, values)
+    }
+    prescribed = draw(st.sampled_from(["none", "ell", "random", "wide", "tall"]))
+    functional = {
+        "none": None,
+        "ell": ell,
+        "random": RatMat.row(draw(st.lists(_SMALL, min_size=tangent.dim, max_size=tangent.dim))),
+        "wide": RatMat.row([1] * (tangent.dim + 1)),
+        "tall": RatMat.zeros(2, tangent.dim),
+    }[prescribed]
+    return p, PresentedSection("cotangent", data, point_functional=functional)
+
+
+def stacked_cocone_verdict(p: GermPresentation, section: PresentedSection):
+    """The cotangent verdict by one exact solve of the stacked transposed
+    cocones against the stacked chart values, or None for a prescribed
+    functional of the wrong shape."""
+    tangent = vect_colimit(apply_fibre_functor(p, 1))
+    system = RatMat.vstack([c.transpose() for c in tangent.cocones], cols=tangent.dim)
+    target = RatMat.vstack(
+        [
+            RatMat.column([c.constant_term for c in section.chart_data[cid].components])
+            for cid, _ in p.charts[1:]
+        ],
+        cols=1,
+    )
+    ell = section.point_functional
+    if ell is not None:
+        if (ell.rows, ell.cols) != (1, tangent.dim):
+            return None
+        ok = system @ ell.transpose() == target
+        return ok, ell if ok else None
+    solution = solve_exact(system, target)
+    return solution is not None, None if solution is None else solution.transpose()
+
+
+@given(cotangent_cases())
+@settings(max_examples=200, deadline=None)
+def test_cotangent_verdicts_match_the_stacked_cocone_system(case):
+    p, section = case
+    expected = stacked_cocone_verdict(p, section)
+    if expected is None:
+        with pytest.raises(ValueError, match="prescribed functional must be"):
+            check_section(p, section)
+        return
+    report = check_section(p, section)
+    assert (report.valid, report.functional) == expected
+    assert report.bundle == "cotangent" and len(report.constraints) == 1

@@ -198,6 +198,8 @@ class TestOneColimitPerDiagram:
         # source and target, in degrees 1 and 2; one validation of each side
         assert call_counts["vect_colimit"] == 4
         assert call_counts["validate_presentation"] == 2
+        # two source arrows, no target arrows, three chart assignments
+        assert call_counts["jacobian_at_zero"] == 5
 
     def test_pushforward_in_degree_one(self, call_counts):
         inclusion = ambient_inclusion(space("axes_subset"))
@@ -209,7 +211,17 @@ class TestOneColimitPerDiagram:
         p = space("wedge_lines", m=2)
         call_counts.clear()
         rho_map(p, 1)
-        assert call_counts == {"vect_colimit": 1, "validate_presentation": 1}
+        assert call_counts == {
+            "vect_colimit": 1, "validate_presentation": 1, "jacobian_at_zero": 2
+        }
+
+    def test_rho_takes_each_jacobian_once(self, call_counts):
+        p = space("wedge_lines", m=3)
+        call_counts.clear()
+        rho_map(p, 2)
+        # one per arrow, shared by the degree-1 and degree-2 diagrams
+        assert call_counts["jacobian_at_zero"] == 3
+        assert call_counts["vect_colimit"] == 2
 
 
 class TestLimit:
@@ -228,6 +240,22 @@ class TestLimit:
         ]
         lim = vect_limit(VectDiagram([2], arrows))
         assert lim.dim == 0
+
+    @pytest.mark.parametrize("k", range(4))
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_limit_of_transposed_diagram_gives_the_colimit_functionals(self, name, k):
+        # a functional on a colimit is a compatible family of functionals on
+        # its objects: a cone over the transposed diagram
+        d = apply_fibre_functor(space(name), k)
+        colim = vect_colimit(d)
+        lim = vect_limit(
+            VectDiagram(d.objects, [(dst, src, mat.transpose()) for src, dst, mat in d.arrows])
+        )
+        assert lim.dim == colim.dim
+        cones = RatMat.vstack(lim.cones, cols=lim.dim)
+        functionals = colim.projection.transpose()
+        both = RatMat.hstack([cones, functionals], rows=cones.rows)
+        assert cones.rank() == functionals.rank() == both.rank() == colim.dim
 
     def test_cone_compatibility_random(self):
         rng = random.Random(89)

@@ -128,6 +128,14 @@ class TestGrammar:
             {(1,): Poly.constant(2, 1) + s(2, 1), (2,): Poly.constant(2, -2)},
         )
 
+    def test_coefficient_is_everything_since_the_previous_term(self):
+        def component(line):
+            text = "space demo\nchart p : R^2\nform w : degree 1 on demo\non p : " + line
+            return parse_presentation(text).forms["w"].chart_forms["p"]
+
+        assert component("1 + s1 d[1]") == component("(1 + s1) d[1]")
+        assert component("s1 d[1] - 2 + s2 d[2]") == component("s1 d[1] - (2 + s2) d[2]")
+
     def test_bare_d_term_has_unit_coefficient(self):
         text = """
         space demo
@@ -366,6 +374,8 @@ ERROR_CASES = [
     ("trailing-after-form", _FORM1 + "on y : d[1] d[2]\n",
      "unexpected trailing input 'd'", 6, 13),
     ("reserved", "space demo\nchart s1 : R^1\n", "'s1' is reserved and cannot name a chart", 2, 7),
+    ("reserved-arrow", _DEMO + "arrow chart : x -> x = [s1]\n",
+     "'chart' is reserved and cannot name an arrow", 5, 7),
     ("zero-denominator", _ARROW + "[3/00, 0]\n", "zero denominator", 5, 23),
     ("variable-out-of-range", _ARROW + "[s1, s2]\n",
      "variable s2 out of range for a 1-dimensional context", 5, 25),
