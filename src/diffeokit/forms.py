@@ -53,12 +53,7 @@ class PresentedForm:
 
     degree: int
     chart_forms: dict[str, PolyForm]
-    name: str = ""
-
-    def __eq__(self, other):
-        if not isinstance(other, PresentedForm):
-            return NotImplemented
-        return self.degree == other.degree and self.chart_forms == other.chart_forms
+    name: str = field(default="", compare=False)
 
 
 @dataclass(frozen=True)

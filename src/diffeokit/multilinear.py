@@ -66,38 +66,29 @@ def index_basis(n: int, k: int) -> IndexBasis:
     return IndexBasis(n, k, subs, {s: i for i, s in enumerate(subs)})
 
 
-def exterior_power_map(a: RatMat, k: int) -> RatMat:
-    """Matrix of the k-th exterior power of ``a`` in lexicographic wedge bases.
+def _minors(rows: list, k: int) -> dict:
+    """Nonzero k x k minors of the matrix whose rows hold the nonzero
+    entries ``rows``, each row a list of (1-based column, value) pairs.
 
-    The entry at (J, I) is the k x k minor of ``a`` with rows J and
-    columns I.  Degree 0 gives the 1x1 identity and degree 1 gives ``a``
-    itself.
-
-    Minors are grown a row at a time from the nonzero entries of ``a``:
-    the degree-d minor on rows J + (r,) and columns I is the Laplace
-    expansion along its last row r, the sum over the nonzero a[r, c] with
-    c in I of +-a[r, c] times the degree-(d-1) minor on rows J and columns
-    I without c.  Only nonzero minors are kept, so the work follows the
-    nonzero minors rather than all C(rows, k) * C(cols, k) of them.
+    Returns {J: {I: minor on rows J and columns I}} over increasing
+    1-based row and column subsets, nonzero minors only.  Minors are grown
+    a row at a time: the degree-d minor on rows J + (r,) and columns I is
+    the Laplace expansion along its last row r, the sum over the nonzero
+    entries x at columns c in I of +-x times the degree-(d-1) minor on
+    rows J and columns I without c.  So the work follows the nonzero
+    minors rather than all C(rows, k) * C(cols, k) of them.  The entries
+    may be Fractions or any ring elements that add to and multiply with
+    Fractions, negate, and are falsy exactly when zero, such as polynomials.
     """
-    if k < 0:
-        raise ValueError(f"exterior power degree must be >= 0, got {k}")
-    if k == 0:
-        return RatMat.identity(1)
-    if k == 1:
-        return a
-    # nonzero entries of each row, as (1-based column, value)
-    nonzero = [[(c + 1, x) for c, x in row.items()] for row in a.row_dicts]
-    # minors[J] = {I: minor on rows J, columns I}, nonzero ones only
-    minors: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {(): {(): _ONE}}
+    minors: dict[tuple[int, ...], dict] = {(): {(): _ONE}}
     for d in range(1, k + 1):
         grown = {}
         for J, by_cols in minors.items():
             # leave room for the k - d rows still to come
-            for r in range(J[-1] if J else 0, a.rows - (k - d)):
-                acc: dict[tuple[int, ...], Fraction] = {}
+            for r in range(J[-1] if J else 0, len(rows) - (k - d)):
+                acc: dict = {}
                 for I, m in by_cols.items():
-                    for c, x in nonzero[r]:
+                    for c, x in rows[r]:
                         t = bisect_left(I, c)
                         if t < len(I) and I[t] == c:
                             continue
@@ -110,6 +101,21 @@ def exterior_power_map(a: RatMat, k: int) -> RatMat:
                 if acc:
                     grown[J + (r + 1,)] = acc
         minors = grown
+    return minors
+
+
+def exterior_power_map(a: RatMat, k: int) -> RatMat:
+    """Matrix of the k-th exterior power of ``a`` in lexicographic wedge bases.
+
+    The entry at (J, I) is the k x k minor of ``a`` with rows J and
+    columns I, expanded by ``_minors``.  Degree 0 gives the 1x1 identity
+    and degree 1 gives ``a`` itself.
+    """
+    if k < 0:
+        raise ValueError(f"exterior power degree must be >= 0, got {k}")
+    if k == 1:
+        return a
+    minors = _minors([[(c + 1, x) for c, x in row.items()] for row in a.row_dicts], k)
     row_positions = index_basis(a.rows, k).positions
     col_positions = index_basis(a.cols, k).positions
     # rows without a nonzero minor stay the shared zero rows

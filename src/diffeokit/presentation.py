@@ -49,11 +49,6 @@ class Ambient:
     dim: int
     embeddings: dict[str, PolyMap]
 
-    def __eq__(self, other):
-        if not isinstance(other, Ambient):
-            return NotImplemented
-        return self.dim == other.dim and self.embeddings == other.embeddings
-
 
 class GermPresentation:
     """Charts plus pointed transition germs, the finite input to all fibre
@@ -141,6 +136,7 @@ def validate_presentation(p: GermPresentation) -> ValidationReport:
             issues.append(f"chart {cid!r} has negative dimension {dim}")
 
     seen_arrows = set()
+    shaped: list[Arrow] = []  # arrows between known charts, of the right shape
     for a in p.arrows:
         if a.name in seen_arrows:
             issues.append(f"duplicate arrow id {a.name!r}")
@@ -161,13 +157,17 @@ def validate_presentation(p: GermPresentation) -> ValidationReport:
             continue
         if not a.germ.is_pointed:
             issues.append(f"arrow {a.name!r}: germ is not pointed")
+        shaped.append(a)
 
     if p.ambient is not None:
         amb = p.ambient
         if amb.dim < 0:
             issues.append(f"ambient dimension {amb.dim} is negative")
+        # chart id -> its embedding if that has the right shape, else None;
+        # a repeated id keeps its last dimension, as chart_dim does
+        placed: dict[str, PolyMap | None] = {}
         for cid, dim in p.charts:
-            emb = amb.embeddings.get(cid)
+            emb = placed[cid] = amb.embeddings.get(cid)
             if emb is None:
                 issues.append(f"chart {cid!r} has no ambient embedding")
                 continue
@@ -176,27 +176,20 @@ def validate_presentation(p: GermPresentation) -> ValidationReport:
                     f"embedding of chart {cid!r} has shape R^{emb.source_dim} -> "
                     f"R^{emb.target_dim}, expected R^{dim} -> R^{amb.dim}"
                 )
+                placed[cid] = None
                 continue
             if not emb.is_pointed:
                 issues.append(f"embedding of chart {cid!r} is not pointed")
-        for a in p.arrows:
-            src_emb = amb.embeddings.get(a.src)
-            dst_emb = amb.embeddings.get(a.dst)
+        for a in shaped:
+            src_emb, dst_emb = placed[a.src], placed[a.dst]
             if src_emb is None or dst_emb is None:
-                continue
-            if (
-                a.germ.source_dim != p.chart_dim(a.src)
-                or a.germ.target_dim != p.chart_dim(a.dst)
-                or dst_emb.source_dim != a.germ.target_dim
-            ):
                 continue
             via_arrow = compose_maps(dst_emb, a.germ)
             for c, (lhs, rhs) in enumerate(zip(via_arrow.components, src_emb.components)):
-                residual = lhs - rhs
-                if not residual.is_zero():
+                if lhs != rhs:
                     issues.append(
                         f"ambient incompatibility on arrow {a.name!r}, "
-                        f"coordinate {c + 1}: residual {residual}"
+                        f"coordinate {c + 1}: residual {lhs - rhs}"
                     )
 
     return ValidationReport(not issues, issues)

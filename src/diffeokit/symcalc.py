@@ -17,7 +17,7 @@ from operator import add
 from typing import Mapping, Sequence
 
 from .linalg import RatMat, rational
-from .multilinear import index_basis
+from .multilinear import _minors, index_basis
 
 __all__ = [
     "Poly",
@@ -250,6 +250,10 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        """False exactly for the zero polynomial, as for a Fraction."""
+        return bool(self.terms)
+
     # -- value semantics ----------------------------------------------------
 
     def _key(self):
@@ -324,19 +328,6 @@ class PolyMap:
     @classmethod
     def zero_map(cls, source_dim: int, target_dim: int) -> "PolyMap":
         return cls(source_dim, target_dim, [Poly.zero(source_dim)] * target_dim)
-
-    @classmethod
-    def linear(cls, mat: RatMat) -> "PolyMap":
-        """The linear map with matrix ``mat`` (rows index target coordinates)."""
-        n = mat.cols
-        comps = []
-        for i in range(mat.rows):
-            p = Poly.zero(n)
-            for j in range(n):
-                if mat[i, j] != 0:
-                    p = p + Poly.variable(n, j + 1) * mat[i, j]
-            comps.append(p)
-        return cls(n, mat.rows, comps)
 
     @property
     def is_pointed(self) -> bool:
@@ -429,9 +420,6 @@ class PolyForm:
         for subset, poly in terms.items():
             coeffs[basis.position(subset)] = coeffs[basis.position(subset)] + poly
         return cls(domain_dim, degree, coeffs)
-
-    def coefficient(self, subset) -> Poly:
-        return self.coeffs[index_basis(self.domain_dim, self.degree).position(subset)]
 
     def __add__(self, other: "PolyForm") -> "PolyForm":
         self._require_like(other)
@@ -551,33 +539,34 @@ def exterior_derivative(w: PolyForm) -> PolyForm:
 
 
 def pullback_form(w: PolyForm, f: PolyMap) -> PolyForm:
-    """Exact pullback of ``w`` along ``f``.
+    """Exact pullback of ``w`` along ``f``, through the exterior power of
+    its Jacobian.
 
-    Coefficients are composed with ``f`` and each target differential is
-    pushed through the differentials of the components, so the expansion
-    by minors of the Jacobian happens implicitly through wedge products.
+    The coefficient of dI is the sum over J of w_J composed with ``f``
+    times the minor of the Jacobian of ``f`` on rows J and columns I.  Each
+    J with a nonzero coefficient expands the minors of its own rows only.
     """
     if f.target_dim != w.domain_dim:
         raise ValueError(
             f"cannot pull a form on R^{w.domain_dim} back along a map into R^{f.target_dim}"
         )
-    n = f.source_dim
-    k = w.degree
-    if k == 0:
-        return PolyForm(n, 0, (w.coeffs[0].substitute(f.components, n),))
-    d_components = [
-        exterior_derivative(PolyForm(n, 0, (c,))) for c in f.components
+    n, k = f.source_dim, w.degree
+    # nonzero partial derivatives of each component, as (1-based column, Poly)
+    jacobian = [
+        [(i, dc) for i in range(1, n + 1) if (dc := c.derivative(i))]
+        for c in f.components
     ]
-    result = PolyForm.zero(n, k)
-    unit = PolyForm(n, 0, (Poly.constant(n, 1),))
+    powers: dict = {}
+    terms: dict[tuple[int, ...], Poly] = {}
     for J, coeff in zip(index_basis(w.domain_dim, k).subsets, w.coeffs):
-        if coeff.is_zero():
+        if not coeff:
             continue
-        wedge = unit
-        for j in J:
-            wedge = wedge_forms(wedge, d_components[j - 1])
-        result = result + wedge.scale(coeff.substitute(f.components, n))
-    return result
+        pulled = coeff._substituted(f.components, n, powers)
+        # k rows give at most one row subset of minors
+        for by_cols in _minors([jacobian[j - 1] for j in J], k).values():
+            for I, m in by_cols.items():
+                terms[I] = terms.get(I, Poly.zero(n)) + pulled * m
+    return PolyForm.from_terms(n, k, terms)
 
 
 def form_value_at_zero(w: PolyForm) -> RatMat:

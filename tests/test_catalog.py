@@ -10,8 +10,8 @@ from diffeokit.catalog import (
     remark_wedge_point,
 )
 from diffeokit.forms import restrict_ambient_form, rho_dual, tilde_form_at_point
-from diffeokit.presentation import filteredness, validate_presentation
-from diffeokit.symcalc import Poly, PolyForm, jacobian_at_zero
+from diffeokit.presentation import Arrow, GermPresentation, filteredness, validate_presentation
+from diffeokit.symcalc import Poly, PolyForm, PolyMap, jacobian_at_zero
 from diffeokit.tangent import apply_fibre_functor, rho_map, vect_colimit
 
 
@@ -145,6 +145,21 @@ class TestRemarking:
         # embedding stays pointed after translation
         assert emb.is_pointed
         assert emb.components[0] == Poly.variable(1, 1)
+
+    def test_remark_keeps_and_recenters_the_self_germs_fixing_the_point(self):
+        s = Poly.variable(1, 1)
+        p = GermPresentation(
+            "line",
+            [("c", 1)],
+            [
+                Arrow("cube", "c", "c", PolyMap(1, 1, [s**3])),
+                Arrow("dbl", "c", "c", PolyMap(1, 1, [2 * s])),
+            ],
+        )
+        q = remark_wedge_point(p, "c", 1)
+        assert [(a.name, str(a.germ.components[0])) for a in q.arrows] == [
+            ("cube", "s1^3 + 3*s1^2 + 3*s1")
+        ]
 
     def test_remark_needs_a_line_chart(self):
         p = build_catalog_space("z2_quotient").presentation

@@ -286,6 +286,20 @@ class TestErrorPaths:
         )
         assert code == 2
 
+    def test_param_without_a_value_rejected(self, capsys):
+        code, _, err = run(capsys, ["tangent", "catalog:spaghetti", "--params", "n"])
+        assert code == 2
+        assert "bad parameter 'n', expected KEY=VALUE" in err
+
+    def test_section_file_without_sections_rejected(self, capsys, tmp_path):
+        data_path = tmp_path / "sections.dk"
+        data_path.write_text("\n")
+        code, _, err = run(
+            capsys, ["sections", "catalog:wedge_lines", "--data", str(data_path)]
+        )
+        assert code == 2
+        assert "no sections found" in err
+
     def test_unknown_command_exits_two(self, capsys):
         assert run_command(["frobnicate"]) == 2
 

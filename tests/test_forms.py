@@ -463,6 +463,29 @@ class TestSections:
         assert all("'a'" not in c for c in report.constraints)
         assert any("'b'" in c for c in report.constraints)
 
+    def test_without_a_point_chart_values_must_share_one_image(self):
+        # two lines glued by the identity: no zero-dimensional chart forces
+        # a component, so the only constraint is a common colimit image
+        p = GermPresentation(
+            "glued_lines",
+            [("a", 1), ("b", 1)],
+            [Arrow("ab", "a", "b", PolyMap.identity(1))],
+            wedge_type=True,
+        )
+        for b_value, valid in ((3, True), (4, False)):
+            report = check_section(
+                p,
+                PresentedSection(
+                    "tangent",
+                    {
+                        "a": PolyMap(1, 1, [Poly.constant(1, 3) + s(1, 1)]),
+                        "b": PolyMap(1, 1, [Poly.constant(1, b_value)]),
+                    },
+                ),
+            )
+            assert report.valid is valid
+            assert report.constraints == ["all chart values must share one colimit image"]
+
     def test_random_boundary_sweep(self):
         rng = random.Random(127)
         p = space("wedge_lines", m=2)

@@ -1,7 +1,8 @@
 """Differential tests against sympy, an exact oracle written independently.
 
 sympy is imported here only; without it these tests are skipped.  Random
-rational matrices run from 0x0 to 6x6, dense and mostly zero.
+rational matrices run from 0x0 to 6x6, dense and mostly zero; random pointed
+maps and forms live on R^0 to R^3.
 """
 
 import random
@@ -13,8 +14,9 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from diffeokit.linalg import RatMat, kernel_basis  # noqa: E402
-from diffeokit.multilinear import exterior_power_map, tensor_product_map  # noqa: E402
-from util_rand import rand_fraction  # noqa: E402
+from diffeokit.multilinear import exterior_power_map, index_basis, tensor_product_map  # noqa: E402
+from diffeokit.symcalc import pullback_form  # noqa: E402
+from util_rand import rand_form, rand_fraction, rand_pointed_map  # noqa: E402
 
 
 def random_matrices(seed, count, max_dim=6, square=False):
@@ -77,3 +79,34 @@ def test_tensor_product_map_matches_sympy_kronecker_product():
         else:  # sympy has no empty Kronecker product
             expected = sympy.zeros(a.rows * b.rows, a.cols * b.cols)
         assert tensor_product_map(a, b) == from_sympy(expected)
+
+
+def poly_to_sympy(p, symbols):
+    return sympy.Add(*[
+        sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*[x**e for x, e in zip(symbols, exps)])
+        for exps, c in p.terms.items()
+    ])
+
+
+def test_pullback_form_matches_sympy_jacobian_minors():
+    # the dI coefficient of f*w is the sum over J of w_J(f(s)) det(df_J / ds_I)
+    rng = random.Random(9)
+    for _ in range(80):
+        n, m = rng.randint(0, 3), rng.randint(0, 3)
+        f = rand_pointed_map(rng, n, m)
+        s = sympy.symbols(f"s1:{n + 1}")
+        t = sympy.symbols(f"t1:{m + 1}")
+        components = [poly_to_sympy(c, s) for c in f.components]
+        jacobian = sympy.Matrix(m, 1, components).jacobian(sympy.Matrix(1, n, s))
+        for k in range(m + 2):
+            w = rand_form(rng, m, k)
+            composed = [poly_to_sympy(c, t).subs(dict(zip(t, components)), simultaneous=True)
+                        for c in w.coeffs]
+            pulled = pullback_form(w, f)
+            assert (pulled.domain_dim, pulled.degree) == (n, k)
+            for I, coeff in zip(index_basis(n, k).subsets, pulled.coeffs):
+                expected = sympy.Add(*[
+                    c * jacobian.extract([j - 1 for j in J], [i - 1 for i in I]).det()
+                    for J, c in zip(index_basis(m, k).subsets, composed)
+                ])
+                assert sympy.expand(expected - poly_to_sympy(coeff, s)) == 0

@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 
 from diffeokit.catalog import build_catalog_space, catalog_names
 from diffeokit.presentation import (
+    Ambient,
     Arrow,
     ClosureResult,
     FilterednessReport,
     GermPresentation,
     PresentedMap,
+    ValidationReport,
     _identity_arrows,
     composition_closure,
     filteredness,
@@ -210,6 +212,126 @@ class TestPresentedMap:
         report = validate_presented_map(bad)
         assert not report.ok
         assert any("does not commute" in issue for issue in report.issues)
+
+
+# -- every issue text of the two validators -------------------------------------
+
+S = Poly.variable(1, 1)
+ID1 = PolyMap.identity(1)
+FROM_PLANE = PolyMap(2, 1, [Poly.variable(2, 1)])
+
+
+def pres(charts, arrows=(), embeddings=None, ambient_dim=1):
+    ambient = None if embeddings is None else Ambient(ambient_dim, embeddings)
+    return GermPresentation("p", charts, list(arrows), ambient=ambient)
+
+
+LINE = pres([("y", 1)])
+TWICE = pres([("x", 1), ("x", 1)])
+
+ISSUE_CASES = [
+    ("duplicate-chart", validate_presentation, TWICE, ["duplicate chart id 'x'"]),
+    (
+        "negative-chart-dim",
+        validate_presentation,
+        pres([("x", -1)]),
+        ["chart 'x' has negative dimension -1"],
+    ),
+    (
+        "duplicate-arrow",
+        validate_presentation,
+        pres([("x", 1)], [Arrow("a", "x", "x", ID1)] * 2),
+        ["duplicate arrow id 'a'"],
+    ),
+    (
+        "unknown-source",
+        validate_presentation,
+        pres([("x", 1)], [Arrow("a", "ghost", "x", ID1)]),
+        ["arrow 'a' has unknown source chart 'ghost'"],
+    ),
+    (
+        "unknown-target",
+        validate_presentation,
+        pres([("x", 1)], [Arrow("a", "x", "ghost", ID1)]),
+        ["arrow 'a' has unknown target chart 'ghost'"],
+    ),
+    (
+        "negative-ambient-dim",
+        validate_presentation,
+        pres([], embeddings={}, ambient_dim=-1),
+        ["ambient dimension -1 is negative"],
+    ),
+    (
+        "missing-embedding",
+        validate_presentation,
+        pres([("x", 1)], embeddings={}),
+        ["chart 'x' has no ambient embedding"],
+    ),
+    (
+        "wrong-shaped-embedding",
+        validate_presentation,
+        pres([("x", 1)], embeddings={"x": PolyMap(1, 2, [S, S])}),
+        ["embedding of chart 'x' has shape R^1 -> R^2, expected R^1 -> R^1"],
+    ),
+    (
+        "unpointed-embedding",
+        validate_presentation,
+        pres([("x", 1)], embeddings={"x": PolyMap(1, 1, [S + 1])}),
+        ["embedding of chart 'x' is not pointed"],
+    ),
+    # the ambient check skips what failed its own check instead of raising
+    (
+        "arrow-from-a-wrong-shaped-embedding",
+        validate_presentation,
+        pres([("x", 1), ("y", 1)], [Arrow("b", "x", "y", ID1)], {"x": FROM_PLANE, "y": ID1}),
+        ["embedding of chart 'x' has shape R^2 -> R^1, expected R^1 -> R^1"],
+    ),
+    (
+        "arrow-from-an-embedded-unknown-chart",
+        validate_presentation,
+        pres([("x", 1)], [Arrow("b", "ghost", "x", ID1)], {"x": ID1, "ghost": ID1}),
+        ["arrow 'b' has unknown source chart 'ghost'"],
+    ),
+    (
+        "invalid-source",
+        validate_presented_map,
+        PresentedMap(TWICE, LINE, {}),
+        ["source presentation invalid: duplicate chart id 'x'"],
+    ),
+    (
+        "invalid-target",
+        validate_presented_map,
+        PresentedMap(LINE, pres([("y", 1), ("y", 1)]), {}),
+        ["target presentation invalid: duplicate chart id 'y'"],
+    ),
+    (
+        "unknown-target-chart",
+        validate_presented_map,
+        PresentedMap(LINE, LINE, {"y": ("ghost", ID1)}),
+        ["chart 'y' is sent to unknown target chart 'ghost'"],
+    ),
+    (
+        "wrong-shaped-assignment",
+        validate_presented_map,
+        PresentedMap(LINE, LINE, {"y": ("y", PolyMap(1, 2, [S, S]))}),
+        ["assignment of chart 'y' has shape R^1 -> R^2, expected R^1 -> R^1"],
+    ),
+    (
+        "unpointed-assignment",
+        validate_presented_map,
+        PresentedMap(LINE, LINE, {"y": ("y", PolyMap(1, 1, [S + 1]))}),
+        ["assignment of chart 'y' is not pointed"],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "validate, value, issues",
+    [case[1:] for case in ISSUE_CASES],
+    ids=[case[0] for case in ISSUE_CASES],
+)
+def test_validators_report_each_issue(validate, value, issues):
+    assert validate(value) == ValidationReport(False, issues)
 
 
 # -- closure and pair scan against the all-pairs reference ---------------------

@@ -60,6 +60,12 @@ class TestPoly:
             composed = p.substitute(args, 1)
             assert composed.evaluate(point) == p.evaluate([a.evaluate(point) for a in args])
 
+    def test_only_the_zero_polynomial_is_falsy(self):
+        assert bool(Poly.zero(2)) is False
+        assert bool(s(2, 1) - s(2, 1)) is False
+        assert bool(Poly.constant(2, Fraction(-1, 3))) is True
+        assert bool(s(2, 2)) is True
+
     def test_rejects_negative_exponents(self):
         with pytest.raises(ValueError):
             Poly(1, {(-1,): 1})
