@@ -25,11 +25,14 @@ An empty coordinate list in an arrow or embed is shorthand for the zero
 germ out of a zero-dimensional chart.  A section takes at most one
 functional line.
 
-Parsing is one pass: each line is scanned once into tokens, and each
-expression is built straight into one term dict.  It is deterministic, and
-parse -> print -> parse is the identity on normal forms.  Errors carry
-one-based line and column positions; a bad character is reported before
-any other error on its line.
+Parsing is one pass: each line is scanned once into plain string tokens,
+and each product of literals and variables is folded into one monomial,
+so only parenthesized factors build term dicts of their own.  It is
+deterministic, and parse -> export -> parse is the identity on whole
+documents.  Errors carry one-based line and column positions; a bad
+character is reported before any other error on its line.  The column of
+any other error is worked out only when it is raised, by scanning its line
+again.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .forms import PresentedForm, PresentedSection
 from .linalg import RatMat
 from .presentation import Ambient, Arrow, GermPresentation
 from .symcalc import _ONE, Poly, PolyForm, PolyMap, _accumulate, _product
-from .multilinear import index_basis
+from .multilinear import IndexBasis, index_basis
 
 __all__ = [
     "ParseError",
@@ -61,11 +64,11 @@ _KEYWORDS = {
 
 _VARIABLE_RE = re.compile(r"s[1-9][0-9]*\Z")
 
-# one scan per line; whitespace matches no group and is skipped, and the
-# catch-all last group gives the position of a bad character
-_TOKEN_RE = re.compile(
-    r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)|(?P<sym>->|[-+*/^=:,()\[\]])|(?P<bad>\S)"
-)
+# one scan per line into names, integers, symbols and single bad characters;
+# whitespace is skipped
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|->|[-+*/^=:,()\[\]]|\S")
+# what the scan above takes as a bad character: a '>' is good only in '->'
+_BAD_RE = re.compile(r"[^\sA-Za-z0-9_+*/^=:,()\[\]>-]|(?<!-)>")
 
 # deepest nesting of '(' and unary '-'; at two frames per parenthesis the
 # parser stays well inside Python's default recursion limit of 1000
@@ -84,160 +87,189 @@ class ParseError(Exception):
         self.col = col
 
 
-# A token is a tuple (kind, text, line, col), kind "name", "int", "sym" or
-# "end".  Every line's tokens close with an "end" token one column past the
-# raw line, so no probe runs off the list.  A symbol or keyword is told
-# apart by its text alone: names, integers and symbols share no text.
+# A token is its text.  Names, integers and symbols share no text, so a
+# token's kind is read from the text: a name is an identifier, an integer is
+# all digits.  Every line's tokens close with an empty end token, which
+# stands one column past the raw line, so no probe runs off the list.
 
 
-def _error(message: str, tok: tuple) -> ParseError:
-    return ParseError(message, tok[2], tok[3])
+class _LineError(Exception):
+    """A parse error at token ``index`` of the line being read; the
+    document parser adds the line and column."""
+
+    def __init__(self, message: str, index: int):
+        self.message = message
+        self.index = index
+
+
+def _column(raw: str, index: int) -> int:
+    """The one-based column of token ``index`` of the line ``raw``."""
+    starts = [m.start() for m in _TOKEN_RE.finditer(raw.partition("#")[0])]
+    return starts[index] + 1 if index < len(starts) else len(raw) + 1
 
 
 def _expect(toks: list, i: int, text: str) -> int:
-    if toks[i][1] != text:
-        raise _error(f"expected {text!r}", toks[i])
+    if toks[i] != text:
+        raise _LineError(f"expected {text!r}", i)
     return i + 1
 
 
 def _expect_end(toks: list, i: int) -> None:
-    if toks[i][0] != "end":
-        raise _error(f"unexpected trailing input {toks[i][1]!r}", toks[i])
+    if toks[i]:
+        raise _LineError(f"unexpected trailing input {toks[i]!r}", i)
 
 
 # -- expressions -------------------------------------------------------------
 #
 # An expression parses into one term dict {exponents: Fraction}.  Each parse
 # function takes the token list and an index, and returns the terms and the
-# index after them.  The sign of a term travels down as ``negate`` to its
-# first factor, so a sum is not negated term by term after it is built.
+# index after them.  The sign of a term travels down as ``negate``, so a sum
+# is not negated term by term after it is built.
 
 
 def _expr(toks: list, i: int, nvars: int, depth: int, negate: bool = False) -> tuple[dict, int]:
-    """A sum of products of factors, negated when ``negate`` is set."""
-    total = None
-    sign = negate
+    """A sum of products, negated when ``negate`` is set."""
+    total, i = _term(toks, i, nvars, depth, negate)
     while True:
-        term, i = _factor(toks, i, nvars, depth, sign)
-        while toks[i][1] == "*":
-            rhs, i = _factor(toks, i + 1, nvars, depth, False)
-            term = _product(term, rhs)
-        total = term if total is None else _accumulate(total, term)
-        op = toks[i][1]
+        op = toks[i]
         if op != "+" and op != "-":
             return total, i
-        sign = negate != (op == "-")
-        i += 1
+        term, i = _term(toks, i + 1, nvars, depth, negate != (op == "-"))
+        _accumulate(total, term)
 
 
-def _factor(toks: list, i: int, nvars: int, depth: int, negate: bool) -> tuple[dict, int]:
-    """Unary minus signs, then a literal, variable or parenthesis, then '^k'."""
-    tok = toks[i]
-    while tok[1] == "-":
-        depth += 1
-        if depth > _MAX_NESTING:
-            raise _error(_TOO_DEEP, tok)
-        negate = not negate
-        i += 1
+def _term(toks: list, i: int, nvars: int, depth: int, negate: bool) -> tuple[dict, int]:
+    """``factor ('*' factor)*``, where a factor is unary minus signs, then a
+    literal, variable or parenthesis, then '^k'.  Literals and variables
+    fold into one monomial num/den * s^exps; only parentheses build terms."""
+    num = den = 1
+    exps = [0] * nvars
+    paren = None
+    while True:
         tok = toks[i]
-    kind, text = tok[0], tok[1]
-    i += 1
-    if kind == "int":
-        value = Fraction(int(text))
-        if toks[i][1] == "/":
-            den = toks[i + 1]
-            if den[0] != "int":
-                raise _error("expected an integer denominator", den)
-            if not int(den[1]):
-                raise _error("zero denominator", den)
-            value = Fraction(int(text), int(den[1]))
+        nesting = depth
+        while tok == "-":
+            nesting += 1
+            if nesting > _MAX_NESTING:
+                raise _LineError(_TOO_DEEP, i)
+            negate = not negate
+            i += 1
+            tok = toks[i]
+        i += 1
+        var = inner = None
+        if tok.isdigit():
+            p, q = int(tok), 1
+            if toks[i] == "/":
+                if not toks[i + 1].isdigit():
+                    raise _LineError("expected an integer denominator", i + 1)
+                q = int(toks[i + 1])
+                if not q:
+                    raise _LineError("zero denominator", i + 1)
+                i += 2
+        elif tok.isidentifier():
+            if not _VARIABLE_RE.match(tok):
+                raise _LineError(f"unexpected identifier {tok!r}", i - 1)
+            var = int(tok[1:]) - 1
+            if var >= nvars:
+                raise _LineError(
+                    f"variable {tok} out of range for a {nvars}-dimensional context", i - 1
+                )
+        elif tok == "(":
+            if nesting + 1 > _MAX_NESTING:
+                raise _LineError(_TOO_DEEP, i - 1)
+            inner, i = _expr(toks, i, nvars, nesting + 1)
+            i = _expect(toks, i, ")")
+        elif not tok:
+            raise _LineError("expected an expression", i - 1)
+        else:
+            raise _LineError(f"unexpected token {tok!r}", i - 1)
+        k = 1
+        if toks[i] == "^":
+            if not toks[i + 1].isdigit():
+                raise _LineError("expected an integer exponent", i + 1)
+            k = int(toks[i + 1])
             i += 2
-        terms = {(0,) * nvars: value} if value else {}
-    elif kind == "name":
-        if not _VARIABLE_RE.match(text):
-            raise _error(f"unexpected identifier {text!r}", tok)
-        idx = int(text[1:])
-        if idx > nvars:
-            raise _error(
-                f"variable {text} out of range for a {nvars}-dimensional context", tok
-            )
-        terms = {(0,) * (idx - 1) + (1,) + (0,) * (nvars - idx): _ONE}
-    elif text == "(":
-        if depth + 1 > _MAX_NESTING:
-            raise _error(_TOO_DEEP, tok)
-        terms, i = _expr(toks, i, nvars, depth + 1)
-        i = _expect(toks, i, ")")
-    elif kind == "end":
-        raise _error("expected an expression", tok)
-    else:
-        raise _error(f"unexpected token {text!r}", tok)
-    if toks[i][1] == "^":
-        exponent = toks[i + 1]
-        if exponent[0] != "int":
-            raise _error("expected an integer exponent", exponent)
-        terms = (Poly._trusted(nvars, terms) ** int(exponent[1])).terms
-        i += 2
-    if negate:
-        terms = (-Poly._trusted(nvars, terms)).terms
-    return terms, i
+        if var is not None:
+            exps[var] += k
+        elif inner is None:
+            num *= p**k
+            den *= q**k
+        else:
+            if k != 1:
+                inner = (Poly._trusted(nvars, inner) ** k).terms
+            paren = inner if paren is None else _product(paren, inner)
+        if toks[i] != "*":
+            break
+        i += 1
+    if not num:
+        return {}, i
+    if paren is not None and num == den == 1 and not negate and not any(exps):
+        return paren, i
+    monomial = {tuple(exps): Fraction(-num if negate else num, den)}
+    return (monomial if paren is None else _product(paren, monomial)), i
 
 
-def _wedge_indices(toks: list, i: int, degree: int, nvars: int) -> tuple[tuple, int]:
-    """``d[i1,...,ik]`` from the ``d`` at ``toks[i]``."""
-    dtok = toks[i]
+def _wedge_indices(toks: list, i: int, basis: IndexBasis) -> tuple[tuple, int]:
+    """``d[i1,...,ik]`` from the ``d`` at ``toks[i]``: a subset in ``basis``."""
+    d = i
     i = _expect(toks, i + 1, "[")
     indices = []
-    if toks[i][1] != "]":
+    if toks[i] != "]":
         while True:
-            if toks[i][0] != "int":
-                raise _error("expected a coordinate index", toks[i])
-            indices.append(int(toks[i][1]))
-            if toks[i + 1][1] != ",":
+            if not toks[i].isdigit():
+                raise _LineError("expected a coordinate index", i)
+            indices.append(int(toks[i]))
+            if toks[i + 1] != ",":
                 break
             i += 2
         i += 1
     i = _expect(toks, i, "]")
-    if len(indices) != degree:
-        raise _error(f"d[...] lists {len(indices)} indices, form has degree {degree}", dtok)
-    if any(not 1 <= k <= nvars for k in indices):
-        raise _error(f"wedge indices must lie in 1..{nvars}", dtok)
-    if any(a >= b for a, b in zip(indices, indices[1:])):
-        raise _error("wedge indices must be strictly increasing", dtok)
-    return tuple(indices), i
+    subset = tuple(indices)
+    if subset not in basis.positions:
+        if len(subset) != basis.degree:
+            raise _LineError(
+                f"d[...] lists {len(subset)} indices, form has degree {basis.degree}", d
+            )
+        if any(not 1 <= k <= basis.ambient_dim for k in subset):
+            raise _LineError(f"wedge indices must lie in 1..{basis.ambient_dim}", d)
+        raise _LineError("wedge indices must be strictly increasing", d)
+    return subset, i
 
 
 def _form_expr(toks: list, i: int, degree: int, nvars: int) -> PolyForm:
     """``e d[...] + ...`` to the end of the line; on degree 0 a plain sum."""
+    basis = index_basis(nvars, degree)
     coeffs: dict[tuple[int, ...], dict] = {}
     # a '-' right before d[...] negates that term's unit coefficient; once a
     # d[...] part closed a term, +/- separate the next term and the sign
     # folds into its coefficient
-    negate = toks[i][1] == "-" and toks[i + 1][1] == "d"
+    negate = toks[i] == "-" and toks[i + 1] == "d"
     if negate:
         i += 1
     while True:
-        start = toks[i]
-        if start[1] == "d":
+        start = i
+        if toks[i] == "d":
             coeff = {(0,) * nvars: -_ONE if negate else _ONE}
         else:
             coeff, i = _expr(toks, i, nvars, 0, negate)
-        if toks[i][1] == "d":
-            subset, i = _wedge_indices(toks, i, degree, nvars)
+        if toks[i] == "d":
+            subset, i = _wedge_indices(toks, i, basis)
         elif degree and coeff:
-            raise _error(f"a degree {degree} term needs a d[...] part", start)
+            raise _LineError(f"a degree {degree} term needs a d[...] part", start)
         else:
             subset = ()
         if coeff:
             _accumulate(coeffs.setdefault(subset, {}), coeff)
-        op = toks[i][1]
+        op = toks[i]
         if op != "+" and op != "-":
             break
         negate = op == "-"
         i += 1
     _expect_end(toks, i)
-    return PolyForm.from_terms(
-        nvars, degree, {k: Poly._trusted(nvars, t) for k, t in coeffs.items()}
-    )
+    out = [Poly.zero(nvars)] * len(basis)
+    for subset, terms in coeffs.items():
+        out[basis.positions[subset]] = Poly._trusted(nvars, terms)
+    return PolyForm(nvars, degree, out)
 
 
 # -- documents ---------------------------------------------------------------
@@ -268,51 +300,56 @@ class _DocumentParser:
         # the open form or section block and the space its charts come from
         self.block: PresentedForm | PresentedSection | None = None
         self.block_space: GermPresentation | None = None
-        self.toks: list[tuple] = []
+        self.toks: list[str] = []
         self.i = 0
 
     def run(self) -> ParsedDocument:
         for lineno, raw in enumerate(self.text.splitlines(), start=1):
-            toks = [
-                (m.lastgroup, m.group(), lineno, m.start() + 1)
-                for m in _TOKEN_RE.finditer(raw.partition("#")[0])
-            ]
+            code = raw.partition("#")[0]
+            toks = _TOKEN_RE.findall(code)
             if not toks:
                 continue
-            for tok in toks:
-                if tok[0] == "bad":
-                    raise _error(f"unexpected character {tok[1]!r}", tok)
-            toks.append(("end", "", lineno, len(raw) + 1))
-            head = toks[0]
-            if head[0] != "name":
-                raise _error(f"unexpected token {head[1]!r}", head)
-            handler = _STATEMENTS.get(head[1])
-            if handler is None:
-                raise _error(f"unknown directive {head[1]!r}", head)
+            bad = _BAD_RE.search(code)
+            if bad:
+                raise ParseError(f"unexpected character {bad.group()!r}", lineno, bad.start() + 1)
+            toks.append("")
             self.toks, self.i = toks, 1
-            if head[1] in _STRUCTURE and self.presentation is not None:
-                raise self._error_here(f"{head[1]} declarations must precede forms and sections")
-            handler(self)
+            head = toks[0]
+            try:
+                if not head.isidentifier():
+                    raise _LineError(f"unexpected token {head!r}", 0)
+                handler = _STATEMENTS.get(head)
+                if handler is None:
+                    raise _LineError(f"unknown directive {head!r}", 0)
+                if head in _STRUCTURE and self.presentation is not None:
+                    raise self._error_here(f"{head} declarations must precede forms and sections")
+                handler(self)
+            except _LineError as err:
+                raise ParseError(err.message, lineno, _column(raw, err.index)) from None
         self._open(None, None)
         presentation = self._space() if self.name is not None else None
         return ParsedDocument(presentation, self.forms, self.sections)
 
     # -- the current line ---------------------------------------------------
 
-    def _error_here(self, message: str) -> ParseError:
-        return _error(message, self.toks[self.i])
+    def _error_here(self, message: str) -> _LineError:
+        return _LineError(message, self.i)
 
-    def _want(self, *texts: str) -> tuple:
-        """Take the given symbols or keywords; return the last one's token."""
+    def _error_taken(self, message: str) -> _LineError:
+        """An error at the token just taken."""
+        return _LineError(message, self.i - 1)
+
+    def _want(self, *texts: str) -> None:
+        """Take the given symbols or keywords."""
         for text in texts:
-            tok = self.toks[self.i]
             self.i = _expect(self.toks, self.i, text)
-        return tok
 
-    def _take(self, kind: str, what: str) -> tuple:
+    def _take(self, test, what: str) -> str:
+        """Take a token that passes ``test``: ``str.isidentifier`` for a
+        name, ``str.isdigit`` for an integer."""
         tok = self.toks[self.i]
-        if tok[0] != kind:
-            raise _error(f"expected {what}", tok)
+        if not test(tok):
+            raise self._error_here(f"expected {what}")
         self.i += 1
         return tok
 
@@ -321,36 +358,35 @@ class _DocumentParser:
 
     def _fresh(self, what: str, taken) -> str:
         """A new name for a ``what``: not reserved and not in ``taken``."""
-        tok = self._take("name", f"{what} name")
-        name = tok[1]
+        name = self._take(str.isidentifier, f"{what} name")
         if name in _KEYWORDS or _VARIABLE_RE.match(name):
             article = "an" if what[0] in "aeiou" else "a"
-            raise _error(f"{name!r} is reserved and cannot name {article} {what}", tok)
+            raise self._error_taken(f"{name!r} is reserved and cannot name {article} {what}")
         if name in taken:
-            raise _error(f"duplicate {what} {name!r}", tok)
+            raise self._error_taken(f"duplicate {what} {name!r}")
         return name
 
-    def _chart(self, space: GermPresentation | None = None) -> tuple[tuple, int]:
-        """A chart of ``space``, or of this document's charts; its token and dimension."""
-        tok = self._take("name", "a chart name")
+    def _chart(self, space: GermPresentation | None = None) -> tuple[str, int]:
+        """A chart of ``space``, or of this document's charts; its name and dimension."""
+        chart = self._take(str.isidentifier, "a chart name")
         if space is None:
-            if tok[1] not in self.charts:
-                raise _error(f"unknown chart {tok[1]!r}", tok)
-            return tok, self.charts[tok[1]]
-        if not space.has_chart(tok[1]):
-            raise _error(f"unknown chart {tok[1]!r} in space {space.name!r}", tok)
-        return tok, space.chart_dim(tok[1])
+            if chart not in self.charts:
+                raise self._error_taken(f"unknown chart {chart!r}")
+            return chart, self.charts[chart]
+        if not space.has_chart(chart):
+            raise self._error_taken(f"unknown chart {chart!r} in space {space.name!r}")
+        return chart, space.chart_dim(chart)
 
     def _exprs(self, nvars: int) -> list[Poly]:
         """``[e1, ..., em]`` in ``nvars`` variables."""
         toks = self.toks
         i = _expect(toks, self.i, "[")
         exprs = []
-        if toks[i][1] != "]":
+        if toks[i] != "]":
             while True:
                 terms, i = _expr(toks, i, nvars, 0)
                 exprs.append(Poly._trusted(nvars, terms))
-                if toks[i][1] != ",":
+                if toks[i] != ",":
                     break
                 i += 1
         self.i = _expect(toks, i, "]")
@@ -359,13 +395,14 @@ class _DocumentParser:
     def _germ(self, src_dim: int, dst_dim: int, what: str) -> PolyMap:
         """``= [e1, ..., em]`` to the end of the line, as a map R^src -> R^dst;
         ``[]`` is the zero germ out of R^0."""
-        eq = self._want("=")
+        self._want("=")
+        eq = self.i - 1
         exprs = self._exprs(src_dim)
         self._end()
         if not exprs and src_dim == 0:
             return PolyMap.zero_map(0, dst_dim)
         if len(exprs) != dst_dim:
-            raise _error(f"{what} needs {dst_dim} coordinates, got {len(exprs)}", eq)
+            raise _LineError(f"{what} needs {dst_dim} coordinates, got {len(exprs)}", eq)
         return PolyMap(src_dim, dst_dim, exprs)
 
     def _space(self) -> GermPresentation | None:
@@ -387,15 +424,14 @@ class _DocumentParser:
         return self.presentation
 
     def _space_reference(self) -> GermPresentation:
-        tok = self._take("name", "a space name")
+        name = self._take(str.isidentifier, "a space name")
         space = self._space()
         if space is None:
-            raise _error(f"no space is available to resolve {tok[1]!r}", tok)
-        if space.name != tok[1]:
-            raise _error(
-                f"form or section references space {tok[1]!r}, "
-                f"available space is {space.name!r}",
-                tok,
+            raise self._error_taken(f"no space is available to resolve {name!r}")
+        if space.name != name:
+            raise self._error_taken(
+                f"form or section references space {name!r}, "
+                f"available space is {space.name!r}"
             )
         return space
 
@@ -423,7 +459,7 @@ class _DocumentParser:
     def _stmt_chart(self) -> None:
         name = self._fresh("chart", self.charts)
         self._want(":", "R", "^")
-        dim = int(self._take("int", "a dimension after '^'")[1])
+        dim = int(self._take(str.isdigit, "a dimension after '^'"))
         self._end()
         self.charts[name] = dim
 
@@ -434,12 +470,12 @@ class _DocumentParser:
         self._want("->")
         dst, dst_dim = self._chart()
         germ = self._germ(src_dim, dst_dim, f"arrow {name!r} into a {dst_dim}-dimensional chart")
-        self.arrows[name] = Arrow(name, src[1], dst[1], germ)
+        self.arrows[name] = Arrow(name, src, dst, germ)
 
     def _stmt_ambient(self) -> None:
         if self.ambient_dim is not None:
             raise self._error_here("duplicate ambient declaration")
-        dim = int(self._take("int", "an ambient dimension")[1])
+        dim = int(self._take(str.isdigit, "an ambient dimension"))
         self._end()
         self.ambient_dim = dim
 
@@ -447,15 +483,15 @@ class _DocumentParser:
         n = self.ambient_dim
         if n is None:
             raise self._error_here("embed requires a preceding ambient declaration")
-        tok, dim = self._chart()
-        if tok[1] in self.embeddings:
-            raise _error(f"duplicate embedding for chart {tok[1]!r}", tok)
-        self.embeddings[tok[1]] = self._germ(dim, n, f"embedding into R^{n}")
+        chart, dim = self._chart()
+        if chart in self.embeddings:
+            raise self._error_taken(f"duplicate embedding for chart {chart!r}")
+        self.embeddings[chart] = self._germ(dim, n, f"embedding into R^{n}")
 
     def _stmt_form(self) -> None:
         name = self._fresh("form", self.forms)
         self._want(":", "degree")
-        degree = int(self._take("int", "a degree")[1])
+        degree = int(self._take(str.isdigit, "a degree"))
         self._want("on")
         space = self._space_reference()
         self._end()
@@ -465,34 +501,34 @@ class _DocumentParser:
     def _stmt_section(self) -> None:
         name = self._fresh("section", self.sections)
         self._want(":")
-        bundle = self._take("name", "'tangent' or 'cotangent'")
-        if bundle[1] not in ("tangent", "cotangent"):
-            raise _error(f"expected 'tangent' or 'cotangent', got {bundle[1]!r}", bundle)
+        bundle = self._take(str.isidentifier, "'tangent' or 'cotangent'")
+        if bundle not in ("tangent", "cotangent"):
+            raise self._error_taken(f"expected 'tangent' or 'cotangent', got {bundle!r}")
         self._want("on")
         space = self._space_reference()
         self._end()
-        self.sections[name] = PresentedSection(bundle[1], {}, None, name, space.name)
+        self.sections[name] = PresentedSection(bundle, {}, None, name, space.name)
         self._open(self.sections[name], space)
 
     def _stmt_on(self) -> None:
         block = self.block
         if block is None:
             raise self._error_here("'on' outside of a form or section block")
-        tok, dim = self._chart(self.block_space)
-        chart = tok[1]
+        chart, dim = self._chart(self.block_space)
         if isinstance(block, PresentedForm):
             if chart in block.chart_forms:
-                raise _error(f"duplicate component for chart {chart!r}", tok)
+                raise self._error_taken(f"duplicate component for chart {chart!r}")
             self._want(":")
             block.chart_forms[chart] = _form_expr(self.toks, self.i, block.degree, dim)
             return
         if chart in block.chart_data:
-            raise _error(f"duplicate section data for chart {chart!r}", tok)
-        colon = self._want(":")
+            raise self._error_taken(f"duplicate section data for chart {chart!r}")
+        self._want(":")
+        colon = self.i - 1
         exprs = self._exprs(dim)
         self._end()
         if len(exprs) != dim:
-            raise _error(
+            raise _LineError(
                 f"section data on a {dim}-dimensional chart needs "
                 f"{dim} coefficients, got {len(exprs)}",
                 colon,
@@ -506,7 +542,7 @@ class _DocumentParser:
         if block.bundle != "cotangent":
             raise self._error_here("'functional' is only meaningful for cotangent sections")
         if block.point_functional is not None:
-            raise _error(f"duplicate functional for section {block.name!r}", self.toks[0])
+            raise _LineError(f"duplicate functional for section {block.name!r}", 0)
         self._want("=")
         exprs = self._exprs(0)
         self._end()
@@ -568,7 +604,9 @@ def render_poly_form(form: PolyForm) -> str:
 
 
 def export_presentation(
-    p: GermPresentation, forms: dict[str, PresentedForm] | None = None
+    p: GermPresentation,
+    forms: dict[str, PresentedForm] | None = None,
+    sections: dict[str, PresentedSection] | None = None,
 ) -> str:
     lines = [f"space {p.name}"]
     if p.wedge_type:
@@ -590,4 +628,12 @@ def export_presentation(
         lines.append(f"form {name} : degree {form.degree} on {p.name}")
         for cid, _ in p.charts:
             lines.append(f"on {cid} : {render_poly_form(form.chart_forms[cid])}")
+    for name, section in (sections or {}).items():
+        lines.append(f"section {name} : {section.bundle} on {p.name}")
+        for cid, _ in p.charts:
+            data = section.chart_data.get(cid)
+            if data is not None:
+                lines.append(f"on {cid} : " + _render_poly_list(data.components))
+        if section.point_functional is not None:
+            lines.append(f"functional = {_render_poly_list(section.point_functional.row_list(0))}")
     return "\n".join(lines) + "\n"

@@ -83,6 +83,16 @@ class TestRoundTrips:
         doc = parse_presentation(text)
         assert doc.forms["alpha"] == forms["alpha"]
 
+    def test_documents_with_forms_and_sections_round_trip(self):
+        for text in _SEED_DOCUMENTS:
+            doc = parse_presentation(text)
+            exported = export_presentation(doc.presentation, doc.forms, doc.sections)
+            again = parse_presentation(exported)
+            assert again == doc, exported
+            assert export_presentation(again.presentation, again.forms, again.sections) == exported
+        # the last seed document's section fixes a functional
+        assert "functional = [1, -3/2]" in exported.splitlines()
+
 
 class TestGrammar:
     def test_zero_germ_shorthand(self):
@@ -516,21 +526,94 @@ def _mutated_documents(draw):
     return "\n".join(lines)
 
 
-def _parse_or_parse_error(text):
-    for space in (None, WEDGE):
-        try:
-            parse_document(text, space)
-        except ParseError:
-            pass
+def _parse_or_parse_error(text, space):
+    """The parsed document, or None after a ParseError that points at a
+    lexeme of one of the document's lines or one past the line's end."""
+    try:
+        return parse_document(text, space)
+    except ParseError as err:
+        lines = text.splitlines()
+        assert 1 <= err.line <= len(lines), err
+        raw = lines[err.line - 1]
+        starts = [m.start() + 1 for m in _LEXEME.finditer(raw.partition("#")[0])]
+        assert err.col in starts + [len(raw) + 1], err
+        return None
 
 
 @given(st.lists(_fuzz_lines, max_size=10).map("\n".join))
 @settings(max_examples=300, deadline=None)
 def test_fuzzed_documents_raise_only_parse_errors(text):
-    _parse_or_parse_error(text)
+    for space in (None, WEDGE):
+        _parse_or_parse_error(text, space)
 
 
 @given(_mutated_documents())
 @settings(max_examples=300, deadline=None)
 def test_mutated_documents_raise_only_parse_errors(text):
-    _parse_or_parse_error(text)
+    _parse_or_parse_error(text, WEDGE)
+    doc = _parse_or_parse_error(text, None)
+    if doc is not None and doc.presentation is not None:
+        exported = export_presentation(doc.presentation, doc.forms, doc.sections)
+        assert parse_document(exported) == doc, exported
+
+
+# the parser against Poly arithmetic: random expression trees, rendered with
+# random spacing, must parse to the Poly that Poly operators build from them
+_TREE_VARS = 3
+_LEVEL = {"add": 0, "sub": 0, "mul": 1, "neg": 2, "pow": 2, "lit": 3, "var": 3}
+_trees = st.recursive(
+    st.tuples(st.just("lit"), st.integers(0, 12), st.none() | st.integers(1, 6))
+    | st.tuples(st.just("var"), st.integers(1, _TREE_VARS)),
+    lambda children: st.tuples(st.sampled_from(["add", "sub", "mul"]), children, children)
+    | st.tuples(st.just("neg"), children)
+    | st.tuples(st.just("pow"), children, st.integers(0, 3)),
+    max_leaves=12,
+)
+
+
+def _tree_poly(tree):
+    kind = tree[0]
+    if kind == "lit":
+        return Poly.constant(_TREE_VARS, Fraction(tree[1], tree[2] or 1))
+    if kind == "var":
+        return s(_TREE_VARS, tree[1])
+    if kind == "neg":
+        return -_tree_poly(tree[1])
+    if kind == "pow":
+        return _tree_poly(tree[1]) ** tree[2]
+    a, b = _tree_poly(tree[1]), _tree_poly(tree[2])
+    return a + b if kind == "add" else a - b if kind == "sub" else a * b
+
+
+def _tree_tokens(tree, level=0):
+    """Tokens of ``tree`` where the grammar expects a sum (level 0), a
+    product (1), a factor (2) or a literal, variable or parenthesis (3)."""
+    kind = tree[0]
+    if _LEVEL[kind] < level:
+        return ["(", *_tree_tokens(tree), ")"]
+    if kind == "lit":
+        return [str(tree[1])] + (["/", str(tree[2])] if tree[2] else [])
+    if kind == "var":
+        return [f"s{tree[1]}"]
+    if kind == "neg":
+        return ["-", *_tree_tokens(tree[1], 2)]
+    if kind == "pow":
+        return [*_tree_tokens(tree[1], 3), "^", str(tree[2])]
+    op, left, right = {"add": ("+", 0, 1), "sub": ("-", 0, 1), "mul": ("*", 1, 2)}[kind]
+    return [*_tree_tokens(tree[1], left), op, *_tree_tokens(tree[2], right)]
+
+
+@given(_trees, st.data())
+@settings(max_examples=300, deadline=None)
+def test_parsed_expressions_agree_with_poly_arithmetic(tree, data):
+    tokens = _tree_tokens(tree)
+    text = tokens[0]
+    for prev, tok in zip(tokens, tokens[1:]):
+        space = data.draw(st.sampled_from(["", " ", "  ", "\t"]))
+        if not space and prev[-1].isalnum() and tok[0].isalnum():
+            space = " "
+        text += space + tok
+    doc = parse_presentation(
+        f"space demo\nchart x : R^{_TREE_VARS}\nchart y : R^1\narrow a : x -> y = [{text}]\n"
+    )
+    assert doc.presentation.arrows[0].germ.components[0] == _tree_poly(tree), text
