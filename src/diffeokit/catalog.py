@@ -197,16 +197,18 @@ def catalog_names() -> list[str]:
     return sorted(_BUILDERS)
 
 
-def default_params(name: str) -> dict:
+def _builder(name: str):
     if name not in _BUILDERS:
         raise ValueError(f"unknown catalog space {name!r}; known: {', '.join(catalog_names())}")
-    return dict(_BUILDERS[name][1])
+    return _BUILDERS[name]
+
+
+def default_params(name: str) -> dict:
+    return dict(_builder(name)[1])
 
 
 def build_catalog_space(name: str, params: dict | None = None) -> CatalogEntry:
-    if name not in _BUILDERS:
-        raise ValueError(f"unknown catalog space {name!r}; known: {', '.join(catalog_names())}")
-    builder, defaults = _BUILDERS[name]
+    builder, defaults = _builder(name)
     merged = dict(defaults)
     for key, value in (params or {}).items():
         if key not in defaults:

@@ -74,24 +74,20 @@ def _require_form(forms: dict, name: str):
 # -- command handlers ---------------------------------------------------------
 
 
-def _cmd_tangent(args):
-    p, _ = _load_space(args.file, args.params)
+def _cmd_tangent(args, p, forms):
     colim = vect_colimit(apply_fibre_functor(p, args.k))
     label = "T" if args.k == 1 else f"T^{args.k}"
-    payload = {"command": "tangent", "space": p.name, "k": args.k, "dim": colim.dim}
+    payload = {"k": args.k, "dim": colim.dim}
     return payload, [f"dim {label} = {colim.dim}"], False
 
 
-def _cmd_rho(args):
-    p, _ = _load_space(args.file, args.params)
+def _cmd_rho(args, p, forms):
     mat = rho_map(p, args.k)
     rank = mat.rank()
     injective = rank == mat.cols
     surjective = rank == mat.rows
     iso = injective and surjective and mat.rows == mat.cols
     payload = {
-        "command": "rho",
-        "space": p.name,
         "k": args.k,
         "source_dim": mat.cols,
         "target_dim": mat.rows,
@@ -111,13 +107,10 @@ def _cmd_rho(args):
     return payload, [line], not iso
 
 
-def _cmd_check_form(args):
-    p, forms = _load_space(args.file, args.params)
+def _cmd_check_form(args, p, forms):
     form = _require_form(forms, args.form)
     report = check_form_compatibility(p, form)
     payload = {
-        "command": "check-form",
-        "space": p.name,
         "form": args.form,
         "degree": form.degree,
         "compatible": report.ok,
@@ -135,15 +128,12 @@ def _cmd_check_form(args):
     return payload, lines, True
 
 
-def _cmd_eval_form(args):
-    p, forms = _load_space(args.file, args.params)
+def _cmd_eval_form(args, p, forms):
     form = _require_form(forms, args.form)
     try:
         value = form_at_point(p, form)
     except IncompatibleFormError as exc:
         payload = {
-            "command": "eval-form",
-            "space": p.name,
             "form": args.form,
             "compatible": False,
             "failing_arrow": exc.failing_arrow,
@@ -151,8 +141,6 @@ def _cmd_eval_form(args):
         return payload, [f"form {args.form}: incompatible, no pointwise value"], True
     coords = _coords(value.coords)
     payload = {
-        "command": "eval-form",
-        "space": p.name,
         "form": args.form,
         "degree": form.degree,
         "compatible": True,
@@ -166,12 +154,9 @@ def _cmd_eval_form(args):
     return payload, [line], False
 
 
-def _cmd_filtered(args):
-    p, _ = _load_space(args.file, args.params)
+def _cmd_filtered(args, p, forms):
     report = filteredness(p, args.depth)
     payload = {
-        "command": "filtered",
-        "space": p.name,
         "depth": args.depth,
         "weakly_filtered": report.weakly_filtered,
         "filtered": report.filtered,
@@ -188,8 +173,7 @@ def _cmd_filtered(args):
     return payload, lines, negative
 
 
-def _cmd_sections(args):
-    p, _ = _load_space(args.file, args.params)
+def _cmd_sections(args, p, forms):
     with open(args.data, "r", encoding="utf-8") as fh:
         sections = parse_sections(fh.read(), p)
     if not sections:
@@ -216,19 +200,18 @@ def _cmd_sections(args):
         for constraint in report.constraints:
             lines.append(f"  constraint: {constraint}")
         negative = negative or not report.valid
-    payload = {"command": "sections", "space": p.name, "sections": entries}
+    payload = {"sections": entries}
     return payload, lines, negative
 
 
-def _cmd_catalog(args):
+def _cmd_catalog(args, _space, _forms):
     entry = build_catalog_space(args.name, _parse_params(args.params))
     if args.export:
         text = export_presentation(entry.presentation)
-        payload = {"command": "catalog", "name": args.name, "export": text}
+        payload = {"name": args.name, "export": text}
         return payload, [text.rstrip("\n")], False
     p = entry.presentation
     payload = {
-        "command": "catalog",
         "name": args.name,
         "params": entry.params,
         "charts": [{"id": cid, "dim": dim} for cid, dim in p.charts],
@@ -272,39 +255,32 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name, handler, help_text):
         cmd = sub.add_parser(name, parents=[common], help=help_text)
         cmd.set_defaults(handler=handler)
+        if name != "catalog":
+            cmd.add_argument("file", help="presentation file or catalog:NAME")
+            cmd.add_argument(
+                "--params",
+                nargs="*",
+                metavar="KEY=VALUE",
+                help="catalog parameters, e.g. m=3",
+            )
         return cmd
 
-    def add_space_argument(cmd):
-        cmd.add_argument("file", help="presentation file or catalog:NAME")
-        cmd.add_argument(
-            "--params",
-            nargs="*",
-            metavar="KEY=VALUE",
-            help="catalog parameters, e.g. m=3",
-        )
-
     cmd = add("tangent", _cmd_tangent, "fibre dimension of the degree-k colimit")
-    add_space_argument(cmd)
     cmd.add_argument("--k", type=int, default=1, help="degree (default 1)")
 
     cmd = add("rho", _cmd_rho, "comparison map with rank and verdicts")
-    add_space_argument(cmd)
     cmd.add_argument("--k", type=int, required=True, help="degree")
 
     cmd = add("check-form", _cmd_check_form, "compatibility of a named form")
-    add_space_argument(cmd)
     cmd.add_argument("--form", required=True, help="form name from the file")
 
     cmd = add("eval-form", _cmd_eval_form, "pointwise value of a named form")
-    add_space_argument(cmd)
     cmd.add_argument("--form", required=True, help="form name from the file")
 
     cmd = add("filtered", _cmd_filtered, "filteredness verdicts within a closure bound")
-    add_space_argument(cmd)
     cmd.add_argument("--depth", type=int, default=4, help="closure depth (default 4)")
 
     cmd = add("sections", _cmd_sections, "check sections across the wedge point")
-    add_space_argument(cmd)
     cmd.add_argument("--data", required=True, help="section data file")
 
     cmd = add("catalog", _cmd_catalog, "inspect or export a built-in space")
@@ -324,7 +300,10 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        payload, lines, negative = args.handler(args)
+        p, forms = None, {}
+        if "file" in args:  # every command but catalog
+            p, forms = _load_space(args.file, args.params)
+        payload, lines, negative = args.handler(args, p, forms)
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -337,6 +316,9 @@ def run_command(argv: list[str]) -> int:
               file=sys.stderr)
         return 3
     if args.json:
+        payload["command"] = args.command
+        if p is not None:
+            payload["space"] = p.name
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in lines:

@@ -71,7 +71,6 @@ class GermPresentation:
         self.arrows = list(arrows)
         self.ambient = ambient
         self.wedge_type = bool(wedge_type)
-        self._dims = dict(self.charts)
         self._index = {cid: i for i, (cid, _) in enumerate(self.charts)}
 
     @property
@@ -79,13 +78,10 @@ class GermPresentation:
         return [cid for cid, _ in self.charts]
 
     def has_chart(self, cid: str) -> bool:
-        return cid in self._dims
+        return cid in self._index
 
     def chart_dim(self, cid: str) -> int:
-        try:
-            return self._dims[cid]
-        except KeyError:
-            raise ValueError(f"unknown chart {cid!r} in space {self.name!r}") from None
+        return self.charts[self.chart_index(cid)][1]
 
     def chart_index(self, cid: str) -> int:
         try:

@@ -13,7 +13,7 @@ coefficient per element of the lexicographic wedge basis.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from operator import add, index
 from typing import Mapping, Sequence
 
 from .linalg import RatMat, rational
@@ -92,7 +92,7 @@ class Poly:
         clean: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
-                exps = tuple(int(e) for e in exps)
+                exps = tuple(map(index, exps))
                 if len(exps) != nvars:
                     raise ValueError(
                         f"exponent vector {exps} has length {len(exps)}, expected {nvars}"

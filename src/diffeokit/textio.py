@@ -318,12 +318,12 @@ class _DocumentParser:
             try:
                 if not head.isidentifier():
                     raise _LineError(f"unexpected token {head!r}", 0)
-                handler = _STATEMENTS.get(head)
+                handler = getattr(self, "_stmt_" + head, None)
                 if handler is None:
                     raise _LineError(f"unknown directive {head!r}", 0)
                 if head in _STRUCTURE and self.presentation is not None:
                     raise self._error_here(f"{head} declarations must precede forms and sections")
-                handler(self)
+                handler()
             except _LineError as err:
                 raise ParseError(err.message, lineno, _column(raw, err.index)) from None
         self._open(None, None)
@@ -444,7 +444,7 @@ class _DocumentParser:
                     self.block.chart_forms[cid] = PolyForm.zero(dim, self.block.degree)
         self.block, self.block_space = block, space
 
-    # -- statements ---------------------------------------------------------
+    # -- statements: a line starting with HEAD is read by _stmt_HEAD --------
 
     def _stmt_space(self) -> None:
         if self.name is not None:
@@ -548,20 +548,6 @@ class _DocumentParser:
         self._end()
         functional = RatMat.row([e.constant_term for e in exprs])
         self.block = self.sections[block.name] = replace(block, point_functional=functional)
-
-
-_STATEMENTS = {
-    "space": _DocumentParser._stmt_space,
-    "wedge": _DocumentParser._stmt_wedge,
-    "chart": _DocumentParser._stmt_chart,
-    "arrow": _DocumentParser._stmt_arrow,
-    "ambient": _DocumentParser._stmt_ambient,
-    "embed": _DocumentParser._stmt_embed,
-    "form": _DocumentParser._stmt_form,
-    "section": _DocumentParser._stmt_section,
-    "on": _DocumentParser._stmt_on,
-    "functional": _DocumentParser._stmt_functional,
-}
 
 
 def parse_document(

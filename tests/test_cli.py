@@ -1,5 +1,9 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from diffeokit import cli
 from diffeokit.catalog import build_catalog_space, catalog_names
@@ -376,3 +380,30 @@ class TestOneParserPerProcess:
             assert (code, out) == (2, "")
             assert "usage:" in err
             assert [got_first, run(capsys, second)[:2]] == alone
+
+
+class TestModuleEntryPoint:
+    """``python -m diffeokit.cli`` runs ``main``, which exits with the code."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "diffeokit.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=60,
+        )
+
+    def test_strict_negative_rho_prints_the_readme_line_and_exits_one(self):
+        result = self.run_module("rho", "catalog:wedge_lines", "--k", "2", "--strict")
+        assert (result.returncode, result.stderr) == (1, "")
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        assert f"$ diffeo-kit rho catalog:wedge_lines --k 2\n{result.stdout}" in readme
+
+    def test_usage_error_exits_two(self):
+        result = self.run_module("rho", "catalog:wedge_lines")
+        assert (result.returncode, result.stdout) == (2, "")
+        assert "the following arguments are required: --k" in result.stderr

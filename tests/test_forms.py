@@ -68,6 +68,11 @@ class TestCompatibility:
     def test_z2_volume_form_compatible(self):
         assert check_form_compatibility(space("z2_quotient"), z2_volume).ok
 
+    def test_report_is_truthy_exactly_when_ok(self):
+        p = space("z2_quotient")
+        assert bool(check_form_compatibility(p, z2_volume)) is True
+        assert bool(check_form_compatibility(p, PresentedForm(1, {"c": dform(2, 1)}))) is False
+
     def test_z2_one_form_incompatible_with_counterexample(self):
         family = PresentedForm(1, {"c": dform(2, 1)}, name="dx")
         report = check_form_compatibility(space("z2_quotient"), family)
@@ -328,6 +333,11 @@ class TestReachableFibre:
             reachable_fibre_dim(p, [z2_volume, bad])
         assert "odd" in str(err.value)
 
+    def test_mixed_degrees_are_rejected(self):
+        family = [z2_volume, PresentedForm(1, {"c": dform(2, 1)})]
+        with pytest.raises(ValueError, match=r"mixed degrees in family: \[1, 2\]"):
+            reachable_fibre_dim(space("z2_quotient"), family)
+
     def test_family_shares_one_colimit(self, call_counts):
         p = space("z2_quotient")
         doubled = PresentedForm(2, {"c": dform(2, 1, 2).scale(2)}, name="2vol")
@@ -378,6 +388,26 @@ class TestSections:
             {"x1": PolyMap(1, 1, [f]), "x2": PolyMap(1, 1, [g])},
             point_functional=functional,
         )
+
+    def test_missing_data_on_a_positive_dimensional_chart_is_an_error(self):
+        # the zero-dimensional chart "o" may go without data, "x2" may not
+        section = PresentedSection("tangent", {"x1": PolyMap(1, 1, [s(1, 1)])})
+        with pytest.raises(ValueError, match="section gives no data on chart 'x2'"):
+            check_section(space("wedge_lines", m=2), section)
+
+    def test_data_of_the_wrong_shape_is_an_error(self):
+        section = PresentedSection(
+            "cotangent",
+            {"x1": PolyMap(1, 2, [s(1, 1), s(1, 1)]), "x2": PolyMap(1, 1, [s(1, 1)])},
+        )
+        message = r"'x1' has shape R\^1 -> R\^2, expected R\^1 -> R\^1"
+        with pytest.raises(ValueError, match=message):
+            check_section(space("wedge_lines", m=2), section)
+
+    def test_unknown_bundle_selector_is_an_error(self):
+        section = PresentedSection("normal", {"x1": PolyMap(1, 1, [s(1, 1)])})
+        with pytest.raises(ValueError, match="unknown bundle selector 'normal'"):
+            check_section(space("wedge_lines", m=2), section)
 
     def test_vanishing_pair_is_valid(self):
         p = space("wedge_lines", m=2)

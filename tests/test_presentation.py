@@ -40,6 +40,12 @@ class TestValidation:
         assert [a.name for a in p.arrows] == ["neg"]
         assert validate_presentation(p).ok
 
+    def test_report_is_truthy_exactly_when_ok(self):
+        good = build_catalog_space("z2_quotient").presentation
+        bad = GermPresentation("bad", [("a", 1)], [Arrow("f", "a", "b", PolyMap.identity(1))])
+        assert bool(validate_presentation(good)) is True
+        assert bool(validate_presentation(bad)) is False
+
     def test_wrong_arrow_shape_is_diagnosed(self):
         bad = GermPresentation(
             "bad",

@@ -70,6 +70,12 @@ class TestPoly:
         with pytest.raises(ValueError):
             Poly(1, {(-1,): 1})
 
+    def test_rejects_non_integer_exponents(self):
+        for exps in ((1.5,), (2.0,), ("2",), (Fraction(1),)):
+            with pytest.raises(TypeError):
+                Poly(1, {exps: 1})
+        assert Poly(2, {(True, 2): 1}).terms == {(1, 2): 1}
+
 
 class TestComposeAndJacobian:
     def test_identity_is_neutral(self):
@@ -124,6 +130,13 @@ class TestComposeAndJacobian:
 
 
 class TestWedge:
+    def test_sum_adds_coefficients(self):
+        x_dy = PolyForm.from_terms(2, 1, {(2,): s(2, 1)})
+        assert d(2, 1) + x_dy == PolyForm(2, 1, [Poly.constant(2, 1), s(2, 1)])
+        assert (x_dy + x_dy) - x_dy == x_dy
+        with pytest.raises(ValueError, match="form mismatch"):
+            d(2, 1) + d(2, 1, 2)
+
     def test_volume_form(self):
         w = wedge_forms(d(2, 1), d(2, 2))
         assert w == d(2, 1, 2)
