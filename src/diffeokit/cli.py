@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import signal
 import sys
 from .catalog import build_catalog_space, catalog_names
 from .forms import IncompatibleFormError, check_form_compatibility, check_sections, form_at_point
@@ -307,9 +308,9 @@ def run_command(argv: list[str]) -> int:
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AssertionError, MemoryError, RecursionError) as exc:
-        # a failed internal consistency check or an exhausted resource:
-        # never exit 1, which is the --strict negative verdict
+    except Exception as exc:
+        # a failed internal consistency check, an exhausted resource or any
+        # other fault: never exit 1, which is the --strict negative verdict
         detail = " ".join(str(exc).split())
         name = type(exc).__name__
         print(f"internal error: {name}: {detail}" if detail else f"internal error: {name}",
@@ -327,6 +328,10 @@ def run_command(argv: list[str]) -> int:
 
 
 def main() -> None:
+    # a closed output pipe ends the process by SIGPIPE, as it does other
+    # command-line tools, instead of a BrokenPipeError traceback and exit 1
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run_command(sys.argv[1:]))
 
 

@@ -299,6 +299,11 @@ class SectionReport:
 
 
 def _section_values_at_zero(p: GermPresentation, s: PresentedSection) -> dict[str, list]:
+    if s.space and s.space != p.name:
+        raise ValueError(f"section {s.name!r} is on space {s.space!r}, not on {p.name!r}")
+    for cid in s.chart_data:
+        if not p.has_chart(cid):
+            raise ValueError(f"section gives data on chart {cid!r}, which {p.name!r} lacks")
     values = {}
     for cid, dim in p.charts:
         data = s.chart_data.get(cid)

@@ -14,6 +14,8 @@ finite data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import combinations_with_replacement
 
 from .symcalc import PolyMap, compose_maps
 
@@ -230,24 +232,23 @@ def composition_closure(p: GermPresentation, depth: int) -> ClosureResult:
     for a in _identity_arrows(p) + p.arrows:
         arrows.setdefault((a.src, a.dst, a.germ), a)
 
-    frontier = list(arrows.values())
+    new = list(arrows.values())
     word_length = 1
-    while frontier:
-        # the same composite can arise from several pairs; the first names it
-        fresh: dict[tuple[str, str, PolyMap], Arrow] = {}
+    while new:
+        frontier, new = new, []
         for g in p.arrows:
             for w in frontier:
                 if w.dst != g.src:
                     continue
                 germ = compose_maps(g.germ, w.germ)
                 key = (w.src, g.dst, germ)
-                if key in arrows or key in fresh:
+                # the same composite can arise from several pairs; the first names it
+                if key in arrows:
                     continue
                 if word_length == depth:
                     return ClosureResult(list(arrows.values()), False)
-                fresh[key] = Arrow(f"{g.name}.{w.name}", w.src, g.dst, germ)
-        arrows.update(fresh)
-        frontier = list(fresh.values())
+                arrows[key] = Arrow(f"{g.name}.{w.name}", w.src, g.dst, germ)
+                new.append(arrows[key])
         word_length += 1
     return ClosureResult(list(arrows.values()), True)
 
@@ -274,36 +275,22 @@ def filteredness(p: GermPresentation, depth: int) -> FilterednessReport:
         return FilterednessReport("unknown", "unknown", False, len(closure.arrows))
 
     arrows = closure.arrows
-    chart_ids = p.chart_ids
-    targets_from: dict[str, set[str]] = {cid: set() for cid in chart_ids}
-    for a in arrows:
-        targets_from[a.src].add(a.dst)
-
-    weakly = True
-    for i, ci in enumerate(chart_ids):
-        for cj in chart_ids[i:]:
-            if not (targets_from[ci] & targets_from[cj]):
-                weakly = False
-                break
-        if not weakly:
-            break
-
-    if not weakly:
-        return FilterednessReport("no", "no", True, len(arrows))
-
-    by_source: dict[str, list[int]] = {cid: [] for cid in chart_ids}
+    targets_from: dict[str, set[str]] = {cid: set() for cid in p.chart_ids}
+    by_source: dict[str, list[int]] = {cid: [] for cid in p.chart_ids}
     parallel: dict[tuple[str, str], list[int]] = {}
     for i, a in enumerate(arrows):
+        targets_from[a.src].add(a.dst)
         by_source[a.src].append(i)
         parallel.setdefault((a.src, a.dst), []).append(i)
 
-    # h after f for arrow indices (h, f), each composed at most once per call
-    composites: dict[tuple[int, int], PolyMap] = {}
+    # weakly filtered: every two charts, a chart with itself included, share a target
+    if not all(ti & tj for ti, tj in combinations_with_replacement(targets_from.values(), 2)):
+        return FilterednessReport("no", "no", True, len(arrows))
 
+    @cache
     def after(h: int, f: int) -> PolyMap:
-        if (h, f) not in composites:
-            composites[h, f] = compose_maps(arrows[h].germ, arrows[f].germ)
-        return composites[h, f]
+        """h after f for arrow indices (h, f), each composed at most once per call."""
+        return compose_maps(arrows[h].germ, arrows[f].germ)
 
     # closure arrows are distinct, so parallel arrows have different germs
     filtered = all(

@@ -424,8 +424,12 @@ class _DocumentParser:
         return self.presentation
 
     def _space_reference(self) -> GermPresentation:
+        """The space an ``on SPACE`` header names: the external space when
+        there is one, even if the document declares a space of its own."""
         name = self._take(str.isidentifier, "a space name")
-        space = self._space()
+        space = self._space()  # ends the structure statements
+        if self.external_space is not None:
+            space = self.external_space
         if space is None:
             raise self._error_taken(f"no space is available to resolve {name!r}")
         if space.name != name:

@@ -168,6 +168,19 @@ class TestFormCommands:
         assert code == 1
 
 
+OTHER_SPACE_SECTION = """space other
+wedge
+chart o : R^0
+chart x1 : R^1
+chart x2 : R^1
+chart x3 : R^1
+section t : tangent on other
+on x1 : [0]
+on x2 : [0]
+on x3 : [5]
+"""
+
+
 class TestSectionsCommand:
     def test_sections_report(self, capsys, tmp_path):
         space_path = tmp_path / "wedge.dk"
@@ -218,6 +231,20 @@ class TestSectionsCommand:
         assert len(payload["sections"]) == 3
         assert call_counts["validate_presentation"] == 1
         assert call_counts["vect_colimit"] == 1
+
+    def test_sections_of_another_space_are_an_input_error(self, capsys, tmp_path):
+        # the data file declares a space of its own, with chart names that
+        # wedge_lines also has; its section must not be checked against wedge_lines
+        data_path = tmp_path / "other.dk"
+        data_path.write_text(OTHER_SPACE_SECTION)
+        code, out, err = run(
+            capsys, ["sections", "catalog:wedge_lines", "--data", str(data_path)]
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: line 7, column 24: form or section references space 'other', "
+            "available space is 'wedge_lines'\n"
+        )
 
     def test_sections_on_non_wedge_space_is_an_input_error(self, capsys, tmp_path):
         data_path = tmp_path / "sections.dk"
@@ -352,6 +379,14 @@ class TestInternalFaults:
             code, out, err = run(capsys, ["tangent", "catalog:wedge_lines", "--strict"])
             assert (code, out, err) == (3, "", expected)
 
+    def test_any_other_exception_exits_three(self, capsys, monkeypatch):
+        def raising(*args):
+            raise KeyError("x1")
+
+        monkeypatch.setattr(cli, "vect_colimit", raising)
+        code, out, err = run(capsys, ["tangent", "catalog:wedge_lines", "--strict"])
+        assert (code, out, err) == (3, "", "internal error: KeyError: 'x1'\n")
+
 
 class TestOneParserPerProcess:
     def test_two_commands_build_the_parser_once(self, capsys, monkeypatch):
@@ -386,12 +421,13 @@ class TestModuleEntryPoint:
     """``python -m diffeokit.cli`` runs ``main``, which exits with the code."""
 
     @staticmethod
-    def run_module(*argv):
+    def run_module(*argv, stdout=subprocess.PIPE):
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         return subprocess.run(
             [sys.executable, "-m", "diffeokit.cli", *argv],
-            capture_output=True,
+            stdout=stdout,
+            stderr=subprocess.PIPE,
             text=True,
             env=dict(os.environ, PYTHONPATH=path),
             timeout=60,
@@ -407,3 +443,13 @@ class TestModuleEntryPoint:
         result = self.run_module("rho", "catalog:wedge_lines")
         assert (result.returncode, result.stdout) == (2, "")
         assert "the following arguments are required: --k" in result.stderr
+
+    def test_closed_output_pipe_leaves_no_traceback_and_does_not_exit_one(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the command writes anything
+        try:
+            result = self.run_module("catalog", "axes_subset", "--export", stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in result.stderr
+        assert result.returncode != 1

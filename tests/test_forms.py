@@ -404,6 +404,24 @@ class TestSections:
         with pytest.raises(ValueError, match=message):
             check_section(space("wedge_lines", m=2), section)
 
+    def test_section_of_another_space_is_an_error(self):
+        section = PresentedSection(
+            "tangent",
+            {"x1": PolyMap(1, 1, [s(1, 1)]), "x2": PolyMap(1, 1, [s(1, 1)])},
+            name="t",
+            space="other",
+        )
+        message = "section 't' is on space 'other', not on 'wedge_lines'"
+        with pytest.raises(ValueError, match=message):
+            check_section(space("wedge_lines", m=2), section)
+
+    def test_data_on_a_chart_the_space_lacks_is_an_error(self):
+        section = self.make_tangent(Poly.zero(1), Poly.zero(1))
+        section.chart_data["x3"] = PolyMap(1, 1, [s(1, 1) * 5])
+        message = "section gives data on chart 'x3', which 'wedge_lines' lacks"
+        with pytest.raises(ValueError, match=message):
+            check_section(space("wedge_lines", m=2), section)
+
     def test_unknown_bundle_selector_is_an_error(self):
         section = PresentedSection("normal", {"x1": PolyMap(1, 1, [s(1, 1)])})
         with pytest.raises(ValueError, match="unknown bundle selector 'normal'"):

@@ -479,6 +479,19 @@ def test_catalog_closure_and_scan_match_all_pairs_reference(name, depth):
     assert filteredness(p, depth) == reference_filteredness(p, depth)
 
 
+@given(presentations(), st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_closed_closure_contains_every_composite_of_its_arrows(p, depth):
+    closure = composition_closure(p, depth)
+    if not closure.closed:
+        return
+    keys = {(a.src, a.dst, a.germ) for a in closure.arrows}
+    for f in closure.arrows:
+        for h in closure.arrows:
+            if f.dst == h.src:
+                assert (f.src, h.dst, compose_maps(h.germ, f.germ)) in keys, (h.name, f.name)
+
+
 # -- how many composites the closure and the pair scan form --------------------
 
 
@@ -509,14 +522,16 @@ def signed_permutation_space():
 
 class TestCompositionCounts:
     def test_closure_composes_each_generator_with_each_arrow_at_most_once(self, call_counts):
-        for p, depth, size, closed in [
-            (near_identity_space(), 3, 40, False),
-            (signed_permutation_space(), 8, 50, True),
+        # ``composed``: the exact count, so a change of the closure's work shows
+        for p, depth, size, closed, composed in [
+            (near_identity_space(), 3, 40, False, 40),
+            (signed_permutation_space(), 8, 50, True, 144),
         ]:
             call_counts.clear()
             result = composition_closure(p, depth)
             assert (len(result.arrows), result.closed) == (size, closed)
             assert call_counts["compose_maps"] <= len(p.arrows) * len(result.arrows)
+            assert call_counts["compose_maps"] == composed
 
     def test_pair_scan_composes_each_pair_of_arrows_at_most_once(self, call_counts):
         p = signed_permutation_space()
@@ -527,6 +542,7 @@ class TestCompositionCounts:
         report = filteredness(p, 8)
         assert report == FilterednessReport("yes", "yes", True, 50)
         assert call_counts["compose_maps"] - in_closure <= 50 * 50
+        assert (call_counts["compose_maps"], in_closure) == (336, 144)
 
     def test_filteredness_builds_no_polynomial_through_the_validating_constructor(
         self, monkeypatch

@@ -183,7 +183,11 @@ class TestGrammar:
         # keep the README's worked example and command line examples honest
         [text] = readme_blocks("text")
         doc = parse_presentation(text)
-        assert doc.presentation == build_catalog_space("axes_subset").presentation
+        catalog = build_catalog_space("axes_subset").presentation
+        # the example's wedge line is its one difference from the catalog entry
+        assert doc.presentation.wedge_type and not catalog.wedge_type
+        catalog.wedge_type = True
+        assert doc.presentation == catalog
         assert doc.forms["volume"].chart_forms["x"].is_zero()
         ell = doc.sections["ell"]
         assert (ell.bundle, ell.space) == ("cotangent", "axes_subset")
@@ -194,6 +198,15 @@ class TestGrammar:
         for argv, expected in examples:
             assert run_command(argv) == 0, argv
             assert capsys.readouterr().out == expected, argv
+
+    def test_readme_example_file_checks_its_section(self, capsys, tmp_path):
+        [text] = readme_blocks("text")
+        path = tmp_path / "readme.dk"
+        path.write_text(text)
+        assert run_command(["sections", str(path), "--data", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("section ell (cotangent): valid, functional (1, 2)\n")
+        assert "with functional `(1, 2)`" in README
 
 
 class TestSections:
@@ -461,6 +474,10 @@ class TestErrorTable:
              "unknown chart 'q' in space 'wedge_lines'", 2, 4),
             ("section t : cotangent on wedge_lines\non x1 : [1]\nfunctional = [s1]\n",
              "variable s1 out of range for a 0-dimensional context", 3, 15),
+            ("space other\nwedge\nchart o : R^0\nchart x1 : R^1\nchart x2 : R^1\n"
+             "section t : tangent on other\non x1 : [0]\non x2 : [5]\n",
+             "form or section references space 'other', available space is 'wedge_lines'",
+             6, 24),
         ],
     )
     def test_section_file_against_a_given_space(self, text, reason, line, col):
