@@ -68,24 +68,31 @@ def index_basis(n: int, k: int) -> IndexBasis:
 
 def _minors(rows: list, k: int) -> dict:
     """Nonzero k x k minors of the matrix whose rows hold the nonzero
-    entries ``rows``, each row a list of (1-based column, value) pairs.
+    entries ``rows``, each row a list of (1-based column, value) pairs with
+    distinct columns.
 
     Returns {J: {I: minor on rows J and columns I}} over increasing
-    1-based row and column subsets, nonzero minors only.  Minors are grown
-    a row at a time: the degree-d minor on rows J + (r,) and columns I is
-    the Laplace expansion along its last row r, the sum over the nonzero
-    entries x at columns c in I of +-x times the degree-(d-1) minor on
-    rows J and columns I without c.  So the work follows the nonzero
-    minors rather than all C(rows, k) * C(cols, k) of them.  The entries
-    may be Fractions or any ring elements that add to and multiply with
-    Fractions, negate, and are falsy exactly when zero, such as polynomials.
+    1-based row and column subsets, nonzero minors only.  Degree 0 is the
+    one empty minor, 1.  The degree-1 minors of a row are its own entries,
+    taken as they are.  From there minors are grown a row at a time: the
+    degree-d minor on rows J + (r,) and columns I is the Laplace expansion
+    along its last row r, the sum over the nonzero entries x at columns c
+    in I of +-x times the degree-(d-1) minor on rows J and columns I
+    without c.  So the work follows the nonzero minors rather than all
+    C(rows, k) * C(cols, k) of them.  The entries may be Fractions or any
+    ring elements that add to and multiply with Fractions, negate, and are
+    falsy exactly when zero, such as polynomials.
     """
-    minors: dict[tuple[int, ...], dict] = {(): {(): _ONE}}
-    for d in range(1, k + 1):
+    if k == 0:
+        return {(): {(): _ONE}}
+    # leave room for the k - 1 rows still to come
+    minors: dict[tuple[int, ...], dict] = {
+        (r + 1,): {(c,): x for c, x in rows[r]} for r in range(len(rows) - k + 1) if rows[r]
+    }
+    for d in range(2, k + 1):
         grown = {}
         for J, by_cols in minors.items():
-            # leave room for the k - d rows still to come
-            for r in range(J[-1] if J else 0, len(rows) - (k - d)):
+            for r in range(J[-1], len(rows) - (k - d)):
                 acc: dict = {}
                 for I, m in by_cols.items():
                     for c, x in rows[r]:

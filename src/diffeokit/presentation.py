@@ -358,18 +358,15 @@ def validate_presented_map(m: PresentedMap) -> ValidationReport:
     if issues:
         return ValidationReport(False, issues)
 
-    candidate_arrows = _identity_arrows(m.target) + list(m.target.arrows)
     for a in m.source.arrows:
         ti, phi_i = m.assignments[a.src]
         tj, phi_j = m.assignments[a.dst]
         lhs = compose_maps(phi_j, a.germ)
-        matched = False
-        for h in candidate_arrows:
-            if h.src != ti or h.dst != tj:
-                continue
-            if lhs == compose_maps(h.germ, phi_i):
-                matched = True
-                break
+        # the identity of ti comes first, and its composite is phi_i itself
+        matched = (ti == tj and lhs == phi_i) or any(
+            h.src == ti and h.dst == tj and lhs == compose_maps(h.germ, phi_i)
+            for h in m.target.arrows
+        )
         if not matched:
             issues.append(
                 f"arrow {a.name!r} does not commute with the chart assignments "

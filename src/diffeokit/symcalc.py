@@ -40,8 +40,9 @@ def _nonnegative(nvars: int) -> int:
     return nvars
 
 
-def _accumulate(into: dict, terms: Mapping) -> dict:
-    """Add ``terms`` into the term dict ``into`` in place and return it.
+def _accumulate(into: dict, terms: Mapping, negate: bool = False) -> dict:
+    """Add ``terms`` into the term dict ``into`` in place and return it, or
+    subtract them when ``negate`` is set.
 
     A coefficient that cancels to zero is deleted, so ``into`` stays
     canonical when both sides are.
@@ -49,9 +50,9 @@ def _accumulate(into: dict, terms: Mapping) -> dict:
     for exps, c in terms.items():
         old = into.get(exps)
         if old is None:
-            into[exps] = c
+            into[exps] = -c if negate else c
         else:
-            c += old
+            c = old - c if negate else old + c
             if c:
                 into[exps] = c
             else:
@@ -59,9 +60,11 @@ def _accumulate(into: dict, terms: Mapping) -> dict:
     return into
 
 
-def _product(a: Mapping, b: Mapping) -> dict:
-    """Product of two canonical term dicts, without zero coefficients."""
-    out: dict[tuple[int, ...], Fraction] = {}
+def _product(a: Mapping, b: Mapping, out: dict | None = None) -> dict:
+    """Product of two canonical term dicts, without zero coefficients,
+    added into the term dict ``out`` when one is given."""
+    if out is None:
+        out = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             exps = tuple(map(add, e1, e2))
@@ -74,6 +77,27 @@ def _product(a: Mapping, b: Mapping) -> dict:
                     continue
             out[exps] = c
     return out
+
+
+def _monomial(exps: tuple[int, ...], args: Sequence["Poly"], nvars: int, powers: dict) -> dict:
+    """Term dict of the monomial prod args[i] ** exps[i], from the table
+    ``powers`` or added to it: the monomial with its last nonzero exponent
+    lowered by one, times that ``args[i]``."""
+    terms = powers.get(exps)
+    if terms is None:
+        if not any(exps):
+            terms = {(0,) * nvars: _ONE}
+        else:
+            i = len(exps) - 1
+            while not exps[i]:
+                i -= 1
+            lower = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
+            # a degree-1 monomial is args[i] itself, shared, never written to
+            terms = args[i].terms
+            if any(lower):
+                terms = _product(_monomial(lower, args, nvars, powers), terms)
+        powers[exps] = terms
+    return terms
 
 
 class Poly:
@@ -158,7 +182,8 @@ class Poly:
         return Poly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        return Poly._trusted(self.nvars, _accumulate(dict(self.terms), other.terms, True))
 
     def __rsub__(self, other) -> "Poly":
         return self._coerce(other) - self
@@ -214,20 +239,26 @@ class Poly:
         return self._substituted(args, nvars, {})
 
     def _substituted(self, args: Sequence["Poly"], nvars: int, powers: dict) -> "Poly":
-        """``substitute`` without its checks; ``powers`` caches the term
-        dict of ``args[i] ** e`` by ``(i, e)`` for callers substituting the
-        same ``args`` more than once."""
-        one = (0,) * nvars
+        """``substitute`` without its checks.
+
+        ``powers`` is a monomial table: it maps an exponent vector to the
+        term dict of that monomial of ``args``, and callers substituting the
+        same ``args`` more than once pass the same table.  A monomial not in
+        the table is the one a degree lower times one ``args[i]``, so each
+        distinct monomial is expanded once.  Each coefficient scales its
+        monomial as it is added into the result.
+        """
         result: dict[tuple[int, ...], Fraction] = {}
         for exps, c in self.terms.items():
-            term = {one: c}
-            for i, e in enumerate(exps):
-                if e:
-                    power = powers.get((i, e))
-                    if power is None:
-                        power = powers[i, e] = (args[i] ** e).terms
-                    term = _product(term, power)
-            _accumulate(result, term)
+            for e, v in _monomial(exps, args, nvars, powers).items():
+                v *= c
+                old = result.get(e)
+                if old is not None:
+                    v += old
+                    if not v:
+                        del result[e]
+                        continue
+                result[e] = v
         return Poly._trusted(nvars, result)
 
     def evaluate(self, point: Sequence) -> Fraction:
@@ -551,22 +582,27 @@ def pullback_form(w: PolyForm, f: PolyMap) -> PolyForm:
             f"cannot pull a form on R^{w.domain_dim} back along a map into R^{f.target_dim}"
         )
     n, k = f.source_dim, w.degree
+    if not k:
+        # a function pulls back by composition alone
+        return PolyForm(n, 0, [w.coeffs[0]._substituted(f.components, n, {})])
     # nonzero partial derivatives of each component, as (1-based column, Poly)
     jacobian = [
         [(i, dc) for i in range(1, n + 1) if (dc := c.derivative(i))]
         for c in f.components
     ]
     powers: dict = {}
-    terms: dict[tuple[int, ...], Poly] = {}
+    positions = index_basis(n, k).positions
+    # one term dict per output coefficient, each wrapped once at the end
+    terms: list[dict] = [{} for _ in positions]
     for J, coeff in zip(index_basis(w.domain_dim, k).subsets, w.coeffs):
         if not coeff:
             continue
-        pulled = coeff._substituted(f.components, n, powers)
+        pulled = coeff._substituted(f.components, n, powers).terms
         # k rows give at most one row subset of minors
         for by_cols in _minors([jacobian[j - 1] for j in J], k).values():
             for I, m in by_cols.items():
-                terms[I] = terms.get(I, Poly.zero(n)) + pulled * m
-    return PolyForm.from_terms(n, k, terms)
+                _product(pulled, m.terms, terms[positions[I]])
+    return PolyForm(n, k, [Poly._trusted(n, t) for t in terms])
 
 
 def form_value_at_zero(w: PolyForm) -> RatMat:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -8,13 +9,15 @@ from hypothesis import strategies as st
 
 from diffeokit.linalg import RatMat
 from diffeokit.multilinear import (
+    _minors,
     curry_hom,
     exterior_power_map,
     index_basis,
     tensor_product_map,
     uncurry_hom,
 )
-from util_rand import rand_matrix
+from diffeokit.symcalc import Poly
+from util_rand import rand_matrix, rand_poly
 
 
 def test_index_basis_shape_and_order():
@@ -186,3 +189,95 @@ def test_exterior_power_matches_minor_by_minor(case):
 def test_index_basis_positions_follow_subsets():
     basis = index_basis(5, 3)
     assert [basis.position(s) for s in basis.subsets] == list(range(len(basis)))
+
+
+# -- the minor expansion itself ---------------------------------------------------
+
+
+def _determinant(m: list, zero):
+    """Leibniz formula, one signed product per permutation."""
+    total = zero
+    for perm in permutations(range(len(m))):
+        inversions = sum(1 for i, j in combinations(range(len(m)), 2) if perm[i] > perm[j])
+        term = zero + 1
+        for r, c in enumerate(perm):
+            term = term * m[r][c]
+        total = total + (-term if inversions % 2 else term)
+    return total
+
+
+def minors_one_by_one(rows: list, k: int, cols: int, zero) -> dict:
+    """Reference for ``_minors``: every k x k minor of the dense matrix by
+    its own determinant, nonzero ones only."""
+    dense = [[zero] * cols for _ in rows]
+    for r, row in enumerate(rows):
+        for c, x in row:
+            dense[r][c - 1] = x
+    out = {}
+    for J in combinations(range(1, len(rows) + 1), k):
+        for I in combinations(range(1, cols + 1), k):
+            m = _determinant([[dense[j - 1][i - 1] for i in I] for j in J], zero)
+            if m:
+                out.setdefault(J, {})[I] = m
+    return out
+
+
+def _sparse_rows(rng: random.Random, count: int, cols: int, entry) -> list:
+    """Rows of distinct columns in random order; some rows have no entries."""
+    rows = []
+    for _ in range(count):
+        picked = [c for c in range(1, cols + 1) if rng.random() < 0.5]
+        rng.shuffle(picked)
+        rows.append([(c, entry()) for c in picked])
+    return rows
+
+
+def test_minors_of_degree_zero_are_the_empty_unit():
+    assert _minors([], 0) == {(): {(): 1}}
+    assert _minors([[(1, Fraction(3))], []], 0) == {(): {(): 1}}
+
+
+def test_minors_beyond_the_row_count_are_empty():
+    rows = [[(1, Fraction(2)), (2, Fraction(1))], [(2, Fraction(5))]]
+    assert _minors(rows, 3) == {}
+    assert _minors([], 1) == {}
+
+
+def test_rows_without_entries_have_no_minors():
+    rows = [[], [(2, Fraction(3)), (1, Fraction(-1))], [], [(1, Fraction(4))]]
+    assert _minors(rows, 1) == {(2,): {(2,): 3, (1,): -1}, (4,): {(1,): 4}}
+    assert _minors(rows, 2) == {(2, 4): {(1, 2): -12}}
+
+
+def test_minors_match_determinants_on_fraction_entries():
+    rng = random.Random(40)
+    for _ in range(60):
+        count, cols = rng.randint(0, 4), rng.randint(1, 4)
+        rows = _sparse_rows(rng, count, cols, lambda: Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2])))
+        for k in range(count + 2):
+            assert _minors(rows, k) == minors_one_by_one(rows, k, cols, Fraction(0)), (rows, k)
+
+
+def test_minors_match_determinants_on_polynomial_entries():
+    rng = random.Random(41)
+    for _ in range(30):
+        count, cols = rng.randint(1, 3), rng.randint(1, 3)
+        rows = _sparse_rows(rng, count, cols, lambda: rand_poly(rng, 2) or Poly.constant(2, 1))
+        for k in range(1, count + 2):
+            assert _minors(rows, k) == minors_one_by_one(rows, k, cols, Poly.zero(2)), (rows, k)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: index_basis(-1, 2), "index basis needs n, k >= 0, got \\(-1, 2\\)"),
+        (lambda: exterior_power_map(RatMat.identity(2), -1),
+         "exterior power degree must be >= 0, got -1"),
+        (lambda: curry_hom((1, -1, 1), RatMat.zeros(1, 1)), "dims must be >= 0, got \\(1, -1, 1\\)"),
+        (lambda: uncurry_hom((1, 2, 2), RatMat.zeros(2, 1)),
+         "expected a 4x1 matrix for dims \\(p=1, q=2, r=2\\), got 2x1"),
+    ],
+)
+def test_guards_name_the_mismatch(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -180,6 +180,23 @@ class TestPresentedMap:
             p = build_catalog_space(name).presentation
             assert validate_presented_map(ambient_inclusion(p)).ok
 
+    def test_a_target_identity_is_matched_without_composing(self, call_counts):
+        from diffeokit.catalog import ambient_inclusion
+
+        p = build_catalog_space("spaghetti").presentation
+        call_counts.clear()
+        assert validate_presented_map(ambient_inclusion(p)).ok
+        # per arrow: its ambient check in validate_presentation and the
+        # composite phi_j . a; the one-chart target offers only its identity
+        assert call_counts["compose_maps"] == 2 * len(p.arrows)
+
+        z2 = build_catalog_space("z2_quotient").presentation
+        assert z2.ambient is None and len(z2.arrows) == 1
+        call_counts.clear()
+        assert validate_presented_map(PresentedMap.identity(z2)).ok
+        # the negation fails the identity and is matched by composing with itself
+        assert call_counts["compose_maps"] == 2
+
     def test_non_commuting_assignment_rejected(self):
         src = build_catalog_space("axes_subset").presentation
         dst = build_catalog_space("euclidean", {"n": 2}).presentation

@@ -21,6 +21,7 @@ from diffeokit.symcalc import (
 from util_rand import (
     derivative_by_difference,
     rand_form,
+    rand_fraction,
     rand_pointed_map,
     rand_poly,
 )
@@ -428,3 +429,63 @@ def test_jacobian_matches_derivatives_at_zero(a, b, data):
             assert jac[i, j] == f.components[i].derivative(j + 1).constant_term
     for row in jac.row_dicts:
         assert all(x != 0 and type(x) is Fraction for x in row.values())
+
+
+# -- composition by monomial table ------------------------------------------------
+
+
+def test_composition_with_shared_monomials_agrees_with_evaluation():
+    """Outer components drawn from one pool of monomials, so the components
+    share entries of the monomial table; exponents up to 4 in 2-3 inner
+    variables.  The composite must evaluate as f(g(x)) at rational points,
+    and each component must equal its own substitution with a fresh table."""
+    rng = random.Random(38)
+    for _ in range(40):
+        inner = rng.randint(2, 3)
+        source = rng.randint(1, 3)
+        pool = [tuple(rng.randint(0, 4) for _ in range(inner)) for _ in range(6)]
+        f = PolyMap(inner, 4, [
+            Poly(inner, {e: rand_fraction(rng) for e in rng.sample(pool, rng.randint(1, 4))})
+            for _ in range(4)
+        ])
+        g = PolyMap(source, inner, [rand_poly(rng, source, 2, 3) for _ in range(inner)])
+        composite = compose_maps(f, g)
+        for p, q in zip(composite.components, f.components):
+            assert p == q.substitute(g.components, source)
+        for _ in range(3):
+            x = [rand_fraction(rng) for _ in range(source)]
+            assert composite.evaluate(x) == f.evaluate(g.evaluate(x))
+
+
+# -- guards, each reached through a public entry ----------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: s(2, 1).substitute([s(1, 1)], 1), "substitution needs 2 arguments, got 1"),
+        (lambda: s(2, 1).substitute([s(1, 1), s(2, 1)], 1),
+         "substitution argument in 2 variables, expected 1"),
+        (lambda: compose_maps(neg2, PolyMap.identity(3)),
+         "cannot compose: inner map lands in R\\^3, outer map starts from R\\^2"),
+        (lambda: pullback_form(d(3, 1), neg2),
+         "cannot pull a form on R\\^3 back along a map into R\\^2"),
+        (lambda: PolyForm(2, 1, [s(2, 1)]), "degree 1 form on R\\^2 needs 2 coefficients, got 1"),
+        (lambda: PolyForm(2, 1, [s(2, 1), s(3, 1)]), "coefficient in 3 variables, expected 2"),
+        (lambda: wedge_forms(d(2, 1), d(3, 1)), "wedge of forms on R\\^2 and R\\^3"),
+        (lambda: Poly.variable(2, 3), "variable s3 out of range for 2 variables"),
+        (lambda: Poly.variable(2, 0), "variable s0 out of range for 2 variables"),
+        (lambda: s(2, 1).derivative(3), "variable s3 out of range for 2 variables"),
+        (lambda: s(2, 1).derivative(0), "variable s0 out of range for 2 variables"),
+        (lambda: PolyMap(2, 2, [s(2, 1)]), "map into R\\^2 needs 2 components, got 1"),
+        (lambda: PolyMap(2, 1, [s(3, 1)]), "component in 3 variables, expected 2"),
+        (lambda: Poly.zero(-1), "negative variable count -1"),
+        (lambda: Poly(2, {(1,): 1}), "exponent vector \\(1,\\) has length 1, expected 2"),
+        (lambda: s(2, 1) - s(3, 1), "mixing polynomials in 2 and 3 variables"),
+        (lambda: s(2, 1) ** -1, "polynomial powers need integer exponents >= 0, got -1"),
+        (lambda: s(2, 1).evaluate([1]), "evaluation needs 2 coordinates, got 1"),
+    ],
+)
+def test_guards_name_the_mismatch(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
