@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 
 def _nonnegative(nvars: int) -> int:
@@ -40,19 +41,21 @@ def _nonnegative(nvars: int) -> int:
     return nvars
 
 
-def _accumulate(into: dict, terms: Mapping, negate: bool = False) -> dict:
-    """Add ``terms`` into the term dict ``into`` in place and return it, or
-    subtract them when ``negate`` is set.
+def _accumulate(into: dict, terms: Mapping, scale: Fraction | None = None) -> dict:
+    """Add ``terms``, each coefficient times ``scale`` when one is given,
+    into the term dict ``into`` in place and return it.
 
-    A coefficient that cancels to zero is deleted, so ``into`` stays
-    canonical when both sides are.
+    ``scale`` must be nonzero.  A coefficient that cancels to zero is
+    deleted, so ``into`` stays canonical when both sides are.
     """
     for exps, c in terms.items():
+        if scale is not None:
+            c *= scale
         old = into.get(exps)
         if old is None:
-            into[exps] = -c if negate else c
+            into[exps] = c
         else:
-            c = old - c if negate else old + c
+            c += old
             if c:
                 into[exps] = c
             else:
@@ -183,7 +186,7 @@ class Poly:
 
     def __sub__(self, other) -> "Poly":
         other = self._coerce(other)
-        return Poly._trusted(self.nvars, _accumulate(dict(self.terms), other.terms, True))
+        return Poly._trusted(self.nvars, _accumulate(dict(self.terms), other.terms, _MINUS_ONE))
 
     def __rsub__(self, other) -> "Poly":
         return self._coerce(other) - self
@@ -250,15 +253,7 @@ class Poly:
         """
         result: dict[tuple[int, ...], Fraction] = {}
         for exps, c in self.terms.items():
-            for e, v in _monomial(exps, args, nvars, powers).items():
-                v *= c
-                old = result.get(e)
-                if old is not None:
-                    v += old
-                    if not v:
-                        del result[e]
-                        continue
-                result[e] = v
+            _accumulate(result, _monomial(exps, args, nvars, powers), c)
         return Poly._trusted(nvars, result)
 
     def evaluate(self, point: Sequence) -> Fraction:

@@ -165,11 +165,13 @@ def _rand_poly(rng: random.Random, nvars: int, degree: int, pointed: bool = Fals
 
 
 def _rand_map(rng: random.Random, source: int, target: int, degree: int, pointed=False) -> PolyMap:
-    return PolyMap(source, target, [_rand_poly(rng, source, degree, pointed) for _ in range(target)])
+    comps = [_rand_poly(rng, source, degree, pointed) for _ in range(target)]
+    return PolyMap(source, target, comps)
 
 
 def _rand_form(rng: random.Random, nvars: int, k: int, degree: int) -> PolyForm:
-    return PolyForm(nvars, k, [_rand_poly(rng, nvars, degree) for _ in index_basis(nvars, k).subsets])
+    coeffs = [_rand_poly(rng, nvars, degree) for _ in index_basis(nvars, k).subsets]
+    return PolyForm(nvars, k, coeffs)
 
 
 def _compose_cases() -> dict:
@@ -222,9 +224,10 @@ def _render_map(f: PolyMap) -> str:
     return "[" + ", ".join(map(str, f.components)) + "]"
 
 
-def ambient_document(rng: random.Random, name: str, dim: int) -> str:
-    """A wedge of low charts into one or two top charts of dimension ``dim``,
-    with ambient data, in the style of the ``query_stream`` benchmark files.
+def _ambient_document(rng: random.Random, name: str, dim: int) -> str:
+    """Low charts with arrows into one or two top charts of dimension
+    ``dim``, with ambient data, in the style of the ``query_stream``
+    benchmark files.
 
     Each low chart has a random pointed quadratic embedding into R^dim and
     an arrow into every top chart: its embedding divided by the top's
@@ -264,7 +267,7 @@ def _ambient_cases() -> dict:
     rng = random.Random(23)
     for n in range(4):
         dim = 3 + n % 2
-        p = parse_presentation(ambient_document(rng, f"amb{n}", dim)).presentation
+        p = parse_presentation(_ambient_document(rng, f"amb{n}", dim)).presentation
         for k in (1, 2):
             w_amb = _rand_form(rng, dim, k, 1)
             # the first chart is a low one of dimension dim - 1 >= k

@@ -253,7 +253,9 @@ def test_minors_match_determinants_on_fraction_entries():
     rng = random.Random(40)
     for _ in range(60):
         count, cols = rng.randint(0, 4), rng.randint(1, 4)
-        rows = _sparse_rows(rng, count, cols, lambda: Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2])))
+        rows = _sparse_rows(
+            rng, count, cols, lambda: Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2]))
+        )
         for k in range(count + 2):
             assert _minors(rows, k) == minors_one_by_one(rows, k, cols, Fraction(0)), (rows, k)
 
@@ -273,7 +275,8 @@ def test_minors_match_determinants_on_polynomial_entries():
         (lambda: index_basis(-1, 2), "index basis needs n, k >= 0, got \\(-1, 2\\)"),
         (lambda: exterior_power_map(RatMat.identity(2), -1),
          "exterior power degree must be >= 0, got -1"),
-        (lambda: curry_hom((1, -1, 1), RatMat.zeros(1, 1)), "dims must be >= 0, got \\(1, -1, 1\\)"),
+        (lambda: curry_hom((1, -1, 1), RatMat.zeros(1, 1)),
+         "dims must be >= 0, got \\(1, -1, 1\\)"),
         (lambda: uncurry_hom((1, 2, 2), RatMat.zeros(2, 1)),
          "expected a 4x1 matrix for dims \\(p=1, q=2, r=2\\), got 2x1"),
     ],
