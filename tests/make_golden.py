@@ -34,16 +34,25 @@ from diffeokit.cli import run_command
 from diffeokit.forms import (
     PresentedForm,
     check_form_compatibility,
+    check_sections,
     form_at_point,
     restrict_ambient_form,
+    tilde_form_at_point,
 )
 from diffeokit.linalg import RatMat
 from diffeokit.multilinear import exterior_power_map, index_basis
 from diffeokit.symcalc import Poly, PolyForm, PolyMap, compose_maps, pullback_form
-from diffeokit.tangent import pushforward_map, rho_map
+from diffeokit.tangent import (
+    VectDiagram,
+    apply_fibre_functor,
+    pushforward_map,
+    rho_map,
+    vect_colimit,
+    vect_limit,
+)
 from diffeokit.textio import parse_presentation
 
-from util_rand import rand_fraction, rand_matrix, rand_pointed_map, rand_poly
+from util_rand import rand_diagram, rand_fraction, rand_matrix, rand_pointed_map, rand_poly
 
 TESTS = Path(__file__).resolve().parent
 GOLDEN = TESTS / "golden_cli.json"
@@ -188,6 +197,32 @@ def _compose_cases() -> dict:
     return cases
 
 
+def _power_cases() -> dict:
+    """Outer monomials with exponents up to 8 in several variables, after
+    inner maps of 2-3 variables with 2-4 terms each: these pin the powers
+    that substitution expands."""
+    cases = {}
+    rng = random.Random(25)
+    for n in range(8):
+        a, b = rng.randint(2, 3), rng.randint(2, 3)
+        inner = []
+        for _ in range(b):
+            terms, count = {}, rng.randint(2, 4)
+            while len(terms) < count:
+                terms[tuple(rng.randint(0, 2) for _ in range(a))] = rand_fraction(rng) or 1
+            inner.append(Poly(a, terms))
+        outer = []
+        for _ in range(rng.randint(1, 2)):
+            used = rng.sample(range(b), rng.randint(2, b))
+            exps = tuple(rng.randint(1, 8) if i in used else 0 for i in range(b))
+            outer.append(Poly(b, {exps: rand_fraction(rng) or 1}))
+        f, g = PolyMap(b, len(outer), outer), PolyMap(a, b, inner)
+        cases[f"compose powers #{n} R^{a}->R^{b}"] = (
+            lambda f=f, g=g: _polys(compose_maps(f, g).components)
+        )
+    return cases
+
+
 def _pullback_cases() -> dict:
     cases = {}
     rng = random.Random(21)
@@ -289,6 +324,9 @@ def _ambient_cases() -> dict:
 
             cases[f"ambient {p.name} form_at_point k{k}"] = restricted
             cases[f"ambient {p.name} residual k{k}"] = residual
+            cases[f"ambient {p.name} tilde k{k}"] = lambda p=p, w_amb=w_amb: _matrix(
+                tilde_form_at_point(p, w_amb)
+            )
         cases[f"ambient {p.name} pushforward"] = lambda p=p: [
             _matrix(m) for k in (1, 2) for m in pushforward_map(ambient_inclusion(p), k)
         ]
@@ -307,12 +345,68 @@ def _rho_cases() -> dict:
     }
 
 
+def _colimit(d: VectDiagram) -> list:
+    c = vect_colimit(d)
+    return [
+        c.dim,
+        _matrix(c.projection),
+        _matrix(c.section),
+        _matrix(c.relations.relation_basis),
+        [_matrix(m) for m in c.cocones],
+    ]
+
+
+def _limit(d: VectDiagram) -> list:
+    limit = vect_limit(d)
+    return [limit.dim, [_matrix(m) for m in limit.cones]]
+
+
+def _diagram_cases() -> dict:
+    """Colimits and limits of 40 seeded random diagrams and of every catalog
+    space's fibre diagram in degrees 0-3."""
+    rng = random.Random(24)
+    diagrams = {f"random #{n}": rand_diagram(rng) for n in range(40)}
+    diagrams.update(
+        (f"{name} k{k}", apply_fibre_functor(build_catalog_space(name).presentation, k))
+        for name in catalog_names()
+        for k in range(4)
+    )
+    cases = {}
+    for name, d in diagrams.items():
+        cases[f"colimit {name}"] = lambda d=d: _colimit(d)
+        cases[f"limit {name}"] = lambda d=d: _limit(d)
+    return cases
+
+
+def _form_cases() -> dict:
+    """The ambient volume form on ``axes_subset`` and the sections of
+    ``wedge.dk``."""
+    axes = build_catalog_space("axes_subset").presentation
+    volume = PolyForm(2, 2, [Poly.constant(2, 1)])
+    doc = parse_presentation(FILES["wedge.dk"])
+
+    def sections():
+        reports = check_sections(doc.presentation, list(doc.sections.values()))
+        return [
+            [r.valid, r.constraints, None if r.functional is None else _matrix(r.functional)]
+            for r in reports
+        ]
+
+    return {
+        "tilde axes_subset volume": lambda: _matrix(tilde_form_at_point(axes, volume)),
+        "check_sections wedge.dk": sections,
+    }
+
+
 LIBRARY_CASES = {
     **_compose_cases(),
+    **_power_cases(),
     **_pullback_cases(),
     **_exterior_power_cases(),
     **_ambient_cases(),
     **_rho_cases(),
+    **_diagram_cases(),
+    **_form_cases(),
 }
 
 
