@@ -13,6 +13,7 @@ coefficient per element of the lexicographic wedge basis.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from operator import add, index
 from typing import Mapping, Sequence
 
@@ -84,22 +85,20 @@ def _product(a: Mapping, b: Mapping, out: dict | None = None) -> dict:
 
 def _monomial(exps: tuple[int, ...], args: Sequence["Poly"], nvars: int, powers: dict) -> dict:
     """Term dict of the monomial prod args[i] ** exps[i], from the table
-    ``powers`` or added to it: the monomial with its last nonzero exponent
-    lowered by one, times that ``args[i]``."""
+    ``powers`` or added to it: the product of its per-variable powers, each
+    of them from the same table or computed by ``Poly.__pow__``."""
     terms = powers.get(exps)
     if terms is None:
-        if not any(exps):
-            terms = {(0,) * nvars: _ONE}
-        else:
-            i = len(exps) - 1
-            while not exps[i]:
-                i -= 1
-            lower = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
-            # a degree-1 monomial is args[i] itself, shared, never written to
-            terms = args[i].terms
-            if any(lower):
-                terms = _product(_monomial(lower, args, nvars, powers), terms)
-        powers[exps] = terms
+        factors = []
+        for i, e in enumerate(exps):
+            if e:
+                key = (0,) * i + (e,) + (0,) * (len(exps) - i - 1)
+                power = powers.get(key)
+                if power is None:
+                    # a first power is args[i] itself, shared, never written to
+                    power = powers[key] = args[i].terms if e == 1 else (args[i] ** e).terms
+                factors.append(power)
+        terms = powers[exps] = reduce(_product, factors) if factors else {(0,) * nvars: _ONE}
     return terms
 
 
@@ -247,9 +246,10 @@ class Poly:
         ``powers`` is a monomial table: it maps an exponent vector to the
         term dict of that monomial of ``args``, and callers substituting the
         same ``args`` more than once pass the same table.  A monomial not in
-        the table is the one a degree lower times one ``args[i]``, so each
-        distinct monomial is expanded once.  Each coefficient scales its
-        monomial as it is added into the result.
+        the table is the product of its per-variable powers, which are kept
+        in the same table, so each distinct monomial and each distinct
+        power is expanded once.  Each coefficient scales its monomial as it
+        is added into the result.
         """
         result: dict[tuple[int, ...], Fraction] = {}
         for exps, c in self.terms.items():

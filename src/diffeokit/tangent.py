@@ -5,7 +5,8 @@ spaces by taking, chart by chart, the tangent space at the marked point,
 with each arrow's Jacobian taken once; the degree-k diagram is the wedge
 of that one, with arrows the exterior powers of the Jacobians.
 Colimits of such diagrams are computed as quotients of the direct sum by
-the per-arrow relations, limits as kernels of the difference map.  A map
+the per-arrow relations; a limit is the dual of the colimit of the
+transposed diagram, so its cones are transposed cocones.  A map
 on the direct sum that kills the relations factors through the colimit;
 ``ColimitResult.factor`` is the one place that checks and does this.
 
@@ -21,7 +22,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import comb
 
-from .linalg import QuotientPresentation, RatMat, kernel_basis
+from .linalg import QuotientPresentation, RatMat
 from .multilinear import exterior_power_map
 from .presentation import GermPresentation, PresentedMap, require_valid, require_valid_map
 from .symcalc import jacobian_at_zero
@@ -142,15 +143,6 @@ class ColimitResult:
         return factored
 
 
-def _decrement(row: dict[int, Fraction], c: int) -> None:
-    """Subtract 1 at column ``c`` of a sparse row, dropping a zero."""
-    v = row.get(c, _ZERO) - _ONE
-    if v:
-        row[c] = v
-    else:
-        del row[c]
-
-
 def vect_colimit(d: VectDiagram) -> ColimitResult:
     """Direct sum of the objects modulo one relation per arrow and source
     basis vector: the image of the vector through the arrow minus the
@@ -168,8 +160,14 @@ def vect_colimit(d: VectDiagram) -> ColimitResult:
             row = rows[r]
             for s, x in image.items():
                 row[j + s] = x
+        # minus the vector itself, dropping a -1 that cancels
         for s in range(mat.cols):
-            _decrement(rows[offsets[src] + s], j + s)
+            row = rows[offsets[src] + s]
+            v = row.get(j + s, _ZERO) - _ONE
+            if v:
+                row[j + s] = v
+            else:
+                del row[j + s]
         j += mat.cols
     relations = QuotientPresentation.from_relation_span(
         total, RatMat._trusted(total, width, rows)
@@ -183,27 +181,28 @@ def vect_colimit(d: VectDiagram) -> ColimitResult:
 
 @dataclass
 class LimitResult:
-    """Limit of a diagram: kernel of the difference map on the product."""
+    """Limit of a diagram in product coordinates.
+
+    ``cones[i]`` maps the limit into object i; for every arrow (i, j, A)
+    the identity A @ cones[i] == cones[j] holds exactly, and the stacked
+    cones are injective.
+    """
 
     dim: int
     cones: list[RatMat]
 
 
 def vect_limit(d: VectDiagram) -> LimitResult:
+    """The dual of ``vect_colimit``: the colimit of the transposed diagram
+    is the dual of the limit, so the limit's cones are the transposed
+    cocones of that colimit.  They span the kernel of the difference map
+    on the product, in the basis of free coordinates of its reduced row
+    echelon form."""
     d.check_shapes()
-    *offsets, total = accumulate(d.objects, initial=0)
-    constraint_rows: list[dict[int, Fraction]] = []
-    for src, dst, mat in d.arrows:
-        for r, image in enumerate(mat.row_dicts):
-            row = {offsets[src] + s: x for s, x in image.items()}
-            _decrement(row, offsets[dst] + r)
-            constraint_rows.append(row)
-    basis = kernel_basis(RatMat._trusted(len(constraint_rows), total, constraint_rows))
-    cones = [
-        basis.submatrix(range(offset, offset + dim), range(basis.cols))
-        for offset, dim in zip(offsets, d.objects)
-    ]
-    return LimitResult(basis.cols, cones)
+    dual = vect_colimit(
+        VectDiagram(d.objects, [(dst, src, mat.transpose()) for src, dst, mat in d.arrows])
+    )
+    return LimitResult(dual.dim, [c.transpose() for c in dual.cocones])
 
 
 def _colimits(p: GermPresentation, k: int) -> tuple[ColimitResult, ColimitResult]:
