@@ -32,6 +32,7 @@ __all__ = [
     "form_value_at_zero",
 ]
 
+_ZERO = Fraction(0)
 _ONE = Fraction(1)
 _MINUS_ONE = Fraction(-1)
 
@@ -260,7 +261,7 @@ class Poly:
         point = [rational(x) for x in point]
         if len(point) != self.nvars:
             raise ValueError(f"evaluation needs {self.nvars} coordinates, got {len(point)}")
-        total = Fraction(0)
+        total = _ZERO
         for exps, c in self.terms.items():
             v = c
             for x, e in zip(point, exps):
@@ -271,7 +272,7 @@ class Poly:
 
     @property
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+        return self.terms.get((0,) * self.nvars, _ZERO)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -357,7 +358,10 @@ class PolyMap:
 
     @property
     def is_pointed(self) -> bool:
-        return all(c.constant_term == 0 for c in self.components)
+        # a canonical term dict holds the constant key only when the
+        # constant is nonzero
+        origin = (0,) * self.source_dim
+        return not any(origin in c.terms for c in self.components)
 
     def evaluate(self, point: Sequence) -> list[Fraction]:
         return [c.evaluate(point) for c in self.components]
