@@ -38,10 +38,6 @@ class CatalogEntry:
     oracle: dict = field(default_factory=dict)
     notes: dict = field(default_factory=dict)
 
-    @property
-    def wedge_type(self) -> bool:
-        return self.presentation.wedge_type
-
 
 def _zero_germ(target_dim: int) -> PolyMap:
     return PolyMap.zero_map(0, target_dim)

@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 from diffeokit.catalog import (
+    ambient_inclusion,
     build_catalog_space,
     catalog_names,
     default_params,
@@ -165,3 +166,9 @@ class TestRemarking:
         p = build_catalog_space("z2_quotient").presentation
         with pytest.raises(ValueError):
             remark_wedge_point(p, "c", 1)
+
+
+def test_an_inclusion_needs_ambient_data():
+    p = build_catalog_space("wedge_lines").presentation
+    with pytest.raises(ValueError, match="presentation 'wedge_lines' carries no ambient data"):
+        ambient_inclusion(p)

@@ -453,3 +453,14 @@ class TestModuleEntryPoint:
             os.close(write_end)
         assert "Traceback" not in result.stderr
         assert result.returncode != 1
+
+
+def test_a_degree_1100_embedding_is_expanded_without_recursion(capsys, tmp_path):
+    path = tmp_path / "deg.dk"
+    path.write_text(
+        "space deg\nchart x : R^1\nchart y : R^1\narrow f : x -> y = [2*s1]\n"
+        "ambient 1\nembed x = [s1^1100]\nembed y = [(1/2)^1100*s1^1100]\n"
+    )
+    code, out, err = run(capsys, ["tangent", str(path)])
+    assert (code, err) == (0, "")
+    assert "dim T = 1" in out

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffeokit import forms
 from diffeokit.catalog import ambient_inclusion
 from diffeokit.forms import (
     IncompatibleFormError,
@@ -22,7 +23,7 @@ from diffeokit.forms import (
     vanishes_at_point,
 )
 from diffeokit.linalg import RatMat, solve_exact
-from diffeokit.presentation import Arrow, GermPresentation
+from diffeokit.presentation import Ambient, Arrow, GermPresentation
 from diffeokit.symcalc import Poly, PolyForm, PolyMap, form_value_at_zero, pullback_form
 from diffeokit.tangent import apply_fibre_functor, pushforward_map, rho_map, vect_colimit
 from util_rand import rand_poly
@@ -624,3 +625,32 @@ def test_cotangent_verdicts_match_the_stacked_cocone_system(case):
     report = check_section(p, section)
     assert (report.valid, report.functional) == expected
     assert report.bundle == "cotangent" and len(report.constraints) == 1
+
+
+def test_a_component_of_the_wrong_degree_is_named():
+    p = space("axes_subset")
+    w = PresentedForm(2, {cid: PolyForm.zero(dim, 1) for cid, dim in p.charts})
+    with pytest.raises(ValueError, match="component on chart 'o' has degree 1, family is declared degree 2"):
+        check_form_compatibility(p, w)
+
+
+def test_an_ambient_form_of_the_wrong_dimension_is_named():
+    with pytest.raises(ValueError, match=r"ambient form lives on R\^3, ambient space is R\^2"):
+        tilde_form_at_point(space("axes_subset"), dform(3, 1))
+
+
+def test_an_incompatible_restriction_is_an_internal_error(monkeypatch):
+    # a planted fault: validation lets through embeddings that disagree
+    # with the arrow, so the restricted family cannot be compatible
+    monkeypatch.setattr(forms, "require_valid", lambda p: None)
+    line = PolyMap.identity(1)
+    p = GermPresentation(
+        "bent",
+        [("a", 1), ("b", 1)],
+        [Arrow("f", "a", "b", PolyMap(1, 1, [2 * s(1, 1)]))],
+        ambient=Ambient(1, {"a": line, "b": line}),
+    )
+    with pytest.raises(
+        AssertionError, match=r"ambient restriction produced an incompatible family \(arrow 'f'\)"
+    ):
+        restrict_ambient_form(p, dform(1, 1))

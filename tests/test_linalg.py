@@ -11,6 +11,7 @@ from diffeokit.linalg import (
     QuotientPresentation,
     RatMat,
     kernel_basis,
+    rational,
     solve_exact,
 )
 from util_rand import rand_matrix
@@ -424,3 +425,53 @@ def test_arithmetic_equality_and_hash_match_dense_reference(pair, c):
     for original, rows in ((ma, a), (ma.scale(0), [[Fraction(0)] * cols for _ in a])):
         for copied in (pickle.loads(pickle.dumps(original)), copy.deepcopy(original)):
             assert_is(copied, rows, cols)
+
+
+def test_rational_reads_a_string():
+    assert rational("-3/4") == Fraction(-3, 4)
+
+
+def test_stacks_of_no_blocks_take_the_declared_count():
+    assert RatMat.hstack([], rows=2) == RatMat.zeros(2, 0)
+    assert RatMat.vstack([], cols=3) == RatMat.zeros(0, 3)
+
+
+def test_repr_shows_shape_and_rows():
+    assert repr(RatMat.zeros(0, 2)) == "RatMat(0x2)"
+    assert repr(RatMat.from_rows([[1, "1/2"], [0, -3]])) == "RatMat(2x2: 1 1/2; 0 -3)"
+
+
+_Z22, _Z23, _Z32 = RatMat.zeros(2, 2), RatMat.zeros(2, 3), RatMat.zeros(3, 2)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: RatMat.zeros(-1, 2), ValueError, r"negative matrix shape \(-1, 2\)"),
+        (lambda: RatMat(2, 2, [1, 2, 3]), ValueError, "a 2x2 matrix needs 4 entries, got 3"),
+        (lambda: RatMat.from_rows([[1, 2]], cols=3), ValueError,
+         "declared 3 columns but rows have 2"),
+        (lambda: RatMat.from_rows([[1, 2], [3]]), ValueError, "rows of unequal length"),
+        (lambda: RatMat.hstack([]), ValueError, "hstack of no blocks needs an explicit row count"),
+        (lambda: RatMat.hstack([_Z22], rows=3), ValueError, "declared 3 rows but blocks have 2"),
+        (lambda: RatMat.hstack([_Z22, _Z32]), ValueError, "hstack blocks disagree on row count"),
+        (lambda: RatMat.vstack([]), ValueError,
+         "vstack of no blocks needs an explicit column count"),
+        (lambda: RatMat.vstack([_Z22], cols=3), ValueError,
+         "declared 3 columns but blocks have 2"),
+        (lambda: RatMat.vstack([_Z22, _Z23]), ValueError,
+         "vstack blocks disagree on column count"),
+        (lambda: _Z23[2, 0], IndexError, r"\(2, 0\) out of range for 2x3"),
+        (lambda: _Z23.col_list(3), IndexError, "column 3 out of range for 3"),
+        (lambda: _Z23.submatrix([0], [3]), IndexError, "submatrix index out of range for 2x3"),
+        (lambda: _Z22 + _Z23, ValueError, "shape mismatch: 2x2 vs 2x3"),
+        (lambda: _Z23.det(), ValueError, "determinant of non-square 2x3"),
+        (lambda: QuotientPresentation.from_relation_span(3, RatMat.zeros(3, 1)).free_columns(
+            _Z22), ValueError, "cannot multiply 2x2 by 3x3"),
+        (lambda: solve_exact(_Z22, RatMat.zeros(3, 1)), ValueError,
+         "system has 2 rows but right-hand side has 3"),
+    ],
+)
+def test_guards_name_the_mismatch(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

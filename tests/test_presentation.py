@@ -580,3 +580,17 @@ class TestCompositionCounts:
             validated.clear()
             assert filteredness(p, depth) == expected
             assert len(validated) == 0
+
+
+def test_an_unknown_chart_is_named():
+    with pytest.raises(ValueError, match="unknown chart 'z' in space 'axes_subset'"):
+        build_catalog_space("axes_subset").presentation.chart_dim("z")
+
+
+def test_presentation_equality_with_a_foreign_value_and_repr():
+    p = build_catalog_space("axes_subset").presentation
+    assert p.__eq__("axes_subset") is NotImplemented and p != "axes_subset"
+    assert repr(p) == (
+        "GermPresentation('axes_subset', charts=[('o', 0), ('x', 1), ('y', 1)], "
+        "arrows=2, ambient=yes)"
+    )

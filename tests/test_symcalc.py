@@ -489,3 +489,42 @@ def test_composition_with_shared_monomials_agrees_with_evaluation():
 def test_guards_name_the_mismatch(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_a_scalar_minus_a_polynomial():
+    assert 1 - s(1, 1) == Poly(1, {(0,): 1, (1,): -1})
+
+
+@pytest.mark.parametrize("value", [s(1, 1), PolyMap.identity(1), d(1, 1)])
+def test_equality_with_a_foreign_value_is_left_to_python(value):
+    assert value.__eq__("s1") is NotImplemented
+    assert value != "s1"
+
+
+def test_map_and_form_reprs():
+    assert repr(PolyMap(2, 1, [s(2, 1) - 2 * s(2, 2)])) == "PolyMap(R^2 -> R^1: [s1 - 2*s2])"
+    assert repr(PolyForm.zero(2, 1)) == "PolyForm(R^2, deg 1: 0)"
+    assert repr(PolyForm(2, 1, [s(2, 2), Poly.zero(2)])) == "PolyForm(R^2, deg 1: (s2) d[1])"
+
+
+def test_equal_forms_hash_alike():
+    a = PolyForm(2, 1, [s(2, 1), Poly.zero(2)])
+    b = PolyForm(2, 1, [s(2, 1) * s(2, 1) - s(2, 1) * (s(2, 1) - 1), s(2, 2) - s(2, 2)])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
+
+def test_pointedness_reads_the_constant_terms():
+    assert PolyMap(0, 2, [Poly.zero(0)] * 2).is_pointed
+    assert not PolyMap(0, 1, [Poly.constant(0, 3)]).is_pointed
+    assert not PolyMap(2, 2, [s(2, 1), s(2, 2) + 1]).is_pointed
+    assert Poly.constant(2, 0).constant_term == 0 == s(2, 1).constant_term
+    with pytest.raises(ValueError, match=r"map is not pointed: components \[2\] have constant terms"):
+        jacobian_at_zero(PolyMap(2, 2, [s(2, 1), s(2, 2) + 1]))
+
+
+def test_a_degree_2000_monomial_composes_as_powers():
+    # a chain of one product per degree would recurse past Python's limit
+    g1, g2 = s(2, 1) * Fraction(1, 2), 3 * s(2, 2) + s(2, 1) * s(2, 2)
+    f = PolyMap(2, 2, [Poly(2, {(2000, 0): 1}), Poly(2, {(2000, 1): 5})])
+    composite = compose_maps(f, PolyMap(2, 2, [g1, g2])).components
+    assert composite == (g1**2000, 5 * g1**2000 * g2)

@@ -5,7 +5,8 @@ from math import comb
 import pytest
 
 from diffeokit.catalog import ambient_inclusion, build_catalog_space, catalog_names
-from diffeokit.linalg import QuotientPresentation, RatMat
+from diffeokit import tangent
+from diffeokit.linalg import QuotientPresentation, RatMat, kernel_basis
 from diffeokit.multilinear import exterior_power_map
 from diffeokit.tangent import (
     VectDiagram,
@@ -264,6 +265,59 @@ class TestLimit:
             lim = vect_limit(d)
             for src, dst, mat in d.arrows:
                 assert mat @ lim.cones[src] == lim.cones[dst]
+
+    def test_cones_are_the_kernel_basis_of_the_difference_map(self):
+        # one row per arrow and target coordinate: A x_src - x_dst
+        rng = random.Random(90)
+        for _ in range(60):
+            d = rand_diagram(rng, max_objects=5, max_dim=4, max_arrows=6)
+            offsets = [sum(d.objects[:i]) for i in range(len(d.objects))]
+            rows = []
+            for src, dst, mat in d.arrows:
+                for r in range(mat.rows):
+                    row = [Fraction(0)] * sum(d.objects)
+                    for c in range(mat.cols):
+                        row[offsets[src] + c] += mat[r, c]
+                    row[offsets[dst] + r] -= 1
+                    rows.append(row)
+            difference = RatMat.from_rows(rows, cols=sum(d.objects))
+            lim = vect_limit(d)
+            assert RatMat.vstack(lim.cones, cols=lim.dim) == kernel_basis(difference)
+
+
+@pytest.mark.parametrize("build", [vect_colimit, vect_limit])
+@pytest.mark.parametrize(
+    "d, message",
+    [
+        (VectDiagram([1], [(0, 1, RatMat.identity(1))]), r"arrow endpoints \(0, 1\) out of range"),
+        (VectDiagram([1, 2], [(0, 1, RatMat.identity(1))]),
+         "arrow 0 -> 1 has shape 1x1, expected 2x1"),
+    ],
+)
+def test_shape_guards_name_the_callers_arrow(build, d, message):
+    with pytest.raises(ValueError, match=message):
+        build(d)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: apply_fibre_functor(space("euclidean"), -1),
+        lambda: VectDiagram([2], []).wedge(-1),
+        lambda: pushforward_map(ambient_inclusion(space("axes_subset")), -1),
+    ],
+)
+def test_negative_degrees_are_rejected(call):
+    with pytest.raises(ValueError, match="degree must be >= 0, got -1"):
+        call()
+
+
+def test_comparison_maps_that_do_not_commute_are_an_internal_error(monkeypatch):
+    # a planted fault: the two comparison maps disagree by a factor of 2
+    real, scales = tangent._rho, iter([2, 1])
+    monkeypatch.setattr(tangent, "_rho", lambda *args: real(*args).scale(next(scales)))
+    with pytest.raises(AssertionError, match="induced maps do not commute with the comparison map"):
+        pushforward_map(ambient_inclusion(space("euclidean", n=2)), 1)
 
 
 class TestRho:
