@@ -92,12 +92,14 @@ def _monomial(exps: tuple[int, ...], args: Sequence["Poly"], nvars: int, powers:
     if terms is None:
         factors = []
         for i, e in enumerate(exps):
-            if e:
+            if e == 1:
+                # a first power is args[i] itself, shared, never written to
+                factors.append(args[i].terms)
+            elif e:
                 key = (0,) * i + (e,) + (0,) * (len(exps) - i - 1)
                 power = powers.get(key)
                 if power is None:
-                    # a first power is args[i] itself, shared, never written to
-                    power = powers[key] = args[i].terms if e == 1 else (args[i] ** e).terms
+                    power = powers[key] = (args[i] ** e).terms
                 factors.append(power)
         terms = powers[exps] = reduce(_product, factors) if factors else {(0,) * nvars: _ONE}
     return terms
@@ -200,16 +202,17 @@ class Poly:
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"polynomial powers need integer exponents >= 0, got {exponent}")
-        result = {(0,) * self.nvars: _ONE}
+        # the first factor taken is copied, not multiplied by 1
+        result = None
         base = self.terms
         e = exponent
         while e:
             if e & 1:
-                result = _product(result, base)
+                result = dict(base) if result is None else _product(result, base)
             e >>= 1
             if e:
                 base = _product(base, base)
-        return Poly._trusted(self.nvars, result)
+        return Poly._trusted(self.nvars, {(0,) * self.nvars: _ONE} if result is None else result)
 
     # -- calculus and evaluation -------------------------------------------
 
