@@ -86,8 +86,9 @@ def _product(a: Mapping, b: Mapping, out: dict | None = None) -> dict:
 
 def _monomial(exps: tuple[int, ...], args: Sequence["Poly"], nvars: int, powers: dict) -> dict:
     """Term dict of the monomial prod args[i] ** exps[i], from the table
-    ``powers`` or added to it: the product of its per-variable powers, each
-    of them from the same table or computed by ``Poly.__pow__``."""
+    ``powers`` or added to it: the product of its per-variable powers.  A
+    higher power comes from the same table or, the first time, from
+    ``Poly.__pow__``."""
     terms = powers.get(exps)
     if terms is None:
         factors = []
@@ -250,9 +251,9 @@ class Poly:
         ``powers`` is a monomial table: it maps an exponent vector to the
         term dict of that monomial of ``args``, and callers substituting the
         same ``args`` more than once pass the same table.  A monomial not in
-        the table is the product of its per-variable powers, which are kept
-        in the same table, so each distinct monomial and each distinct
-        power is expanded once.  Each coefficient scales its monomial as it
+        the table is the product of its per-variable powers, and powers of
+        2 or more are kept in the same table, so each distinct monomial and
+        each distinct power is expanded once.  Each coefficient scales its monomial as it
         is added into the result.
         """
         result: dict[tuple[int, ...], Fraction] = {}
