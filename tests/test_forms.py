@@ -630,7 +630,8 @@ def test_cotangent_verdicts_match_the_stacked_cocone_system(case):
 def test_a_component_of_the_wrong_degree_is_named():
     p = space("axes_subset")
     w = PresentedForm(2, {cid: PolyForm.zero(dim, 1) for cid, dim in p.charts})
-    with pytest.raises(ValueError, match="component on chart 'o' has degree 1, family is declared degree 2"):
+    message = "component on chart 'o' has degree 1, family is declared degree 2"
+    with pytest.raises(ValueError, match=message):
         check_form_compatibility(p, w)
 
 
